@@ -13,4 +13,12 @@ void sample(double* out, std::size_t n, std::uint64_t master) {
   }
 }
 
+// A pointer to a stream constructs nothing, so its initializer is not a
+// seed.
+double draw_from(util::Xoshiro256ss* streams, std::size_t n, std::size_t i) {
+  util::Xoshiro256ss* rng = nullptr;
+  if (i < n) rng = streams + i;
+  return rng != nullptr ? rng->uniform() : 0.0;
+}
+
 }  // namespace fx

@@ -110,6 +110,7 @@ def run_analysis(root: str, paths: list[str] | None = None,
             print(f"analyze: cannot read {rel}: {exc}", file=sys.stderr)
             continue
         repo.files[rel] = parse_file(rel, text)
+    repo.mark_thread_lambdas()
 
     scanned = set(repo.files)
     findings: list[Finding] = []

@@ -10,8 +10,9 @@ repo-wide index:
   * per-function locals (name -> declared type + initializer tokens),
     call sites (with receiver and argument extents), assignments
     (including `x.field = ...` field writes), lambdas (with the enclosing
-    dispatch call, e.g. `parallel_for`, when they are passed to one) and
-    RAII lock-guard sites with held-interval tracking that honours
+    dispatch call, e.g. `parallel_for`, when they are passed to one, and
+    a flag for lambdas handed to a thread constructor) and RAII
+    lock-guard sites with held-interval tracking that honours
     manual `guard.unlock()` / `guard.lock()`;
   * namespace-scope mutable variables (the purity rule's "globals").
 
@@ -23,6 +24,7 @@ under tests/analyzer/.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import cpptok
@@ -52,6 +54,10 @@ SYNC_TYPES = MUTEX_TYPES | {
     "condition_variable", "condition_variable_any", "once_flag", "atomic",
     "atomic_flag",
 }
+THREAD_TYPES = {"thread", "jthread"}
+# Container inserts that construct a thread from their argument when the
+# container's element type is a thread.
+THREAD_SINKS = {"emplace_back", "emplace", "push_back"}
 
 
 @dataclass
@@ -62,6 +68,12 @@ class Local:
     init: tuple[int, int] | None  # [lo, hi) token range of the initializer
     is_static: bool = False
     is_const: bool = False
+    # The declared type as spelled, template arguments included
+    # (`type_text` drops them for members and locals).
+    spelled_type: str = ""
+    # A reference or pointer declarator: names existing storage and
+    # constructs nothing of the declared type.
+    is_indirect: bool = False
 
 
 @dataclass
@@ -88,6 +100,9 @@ class Lambda:
     intro_tok: int  # index of the '[' token
     params: list[str] = field(default_factory=list)
     dispatch: str | None = None  # callee name when passed to a dispatcher
+    # Set by Repo.mark_thread_lambdas(): the lambda is handed to a thread
+    # constructor, so its body runs on the new thread, not the caller's.
+    on_thread: bool = False
 
 
 @dataclass
@@ -118,6 +133,21 @@ class Function:
     guards: list[Guard] = field(default_factory=list)
     init_list: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
     is_ctor: bool = False
+
+    def same_thread(self, a: int, b: int) -> bool:
+        """False when exactly one of tokens a, b lies in the body of a
+        lambda that runs on a thread spawned here."""
+        for lam in self.lambdas:
+            if lam.on_thread:
+                lo, hi = lam.body
+                if (lo <= a <= hi) != (lo <= b <= hi):
+                    return False
+        return True
+
+    def on_caller_thread(self, tok: int) -> bool:
+        """True when token `tok` runs on the thread that called this
+        function."""
+        return self.same_thread(tok, self.body[0])
 
 
 @dataclass
@@ -243,6 +273,22 @@ class _Parser:
         self.scan_scope(0, len(self.tokens), ns=[], cls=None)
         return self.fm
 
+    def skip_attributes(self, i: int, hi: int) -> int:
+        """Index past any `__attribute__((...))` / `[[...]]` specifiers
+        starting at i (i itself when there are none)."""
+        toks = self.tokens
+        while i + 1 < hi:
+            t, nxt = toks[i], toks[i + 1]
+            if (t.kind == ID and t.text == "__attribute__"
+                    and nxt.kind == OP and nxt.text == "("):
+                i = self.match.get(i + 1, i + 1) + 1
+            elif (t.kind == OP and t.text == "[" and nxt.kind == OP
+                  and nxt.text == "["):
+                i = self.match.get(i, i) + 1
+            else:
+                break
+        return i
+
     def scan_scope(self, lo: int, hi: int, ns: list[str],
                    cls: ClassInfo | None) -> None:
         toks = self.tokens
@@ -251,6 +297,10 @@ class _Parser:
             t = toks[i]
             if t.kind == PP:
                 i += 1
+                continue
+            j = self.skip_attributes(i, hi)
+            if j != i:
+                i = j
                 continue
             if t.kind == ID and t.text == "namespace":
                 j = i + 1
@@ -366,6 +416,10 @@ class _Parser:
         seen_ids: list[str] = []
         j = i
         while j < hi:
+            k = self.skip_attributes(j, hi)
+            if k != j:
+                j = k
+                continue
             t = toks[j]
             if t.kind == ID and t.text == "operator":
                 # operator()/operator== etc.: consume the symbol.
@@ -421,18 +475,19 @@ class _Parser:
                     end = self.skip_to_semi(j, hi)
                     init = (j + 1, end - 1)
                     if len(seen_ids) >= 2:
-                        self.record_variable(last_name, last_name_tok,
-                                             seen_ids[:-1], init, cls)
+                        self.record_variable(start, last_name,
+                                             last_name_tok, seen_ids[:-1],
+                                             init, cls)
                     return end
                 if t.text == "{":
                     close = self.match.get(j, hi)
                     if len(seen_ids) >= 2:
-                        self.record_variable(last_name, last_name_tok,
-                                             seen_ids[:-1], (j + 1, close),
-                                             cls)
+                        self.record_variable(start, last_name,
+                                             last_name_tok, seen_ids[:-1],
+                                             (j + 1, close), cls)
                     return self.skip_to_semi(close, hi)
                 if len(seen_ids) >= 2:
-                    self.record_variable(last_name, last_name_tok,
+                    self.record_variable(start, last_name, last_name_tok,
                                          seen_ids[:-1], None, cls)
                 return j + 1
             if t.kind == OP and t.text in {"&", "*", "~", "[", "]", "::",
@@ -453,11 +508,12 @@ class _Parser:
             return j + 1
         return hi
 
-    def record_variable(self, name: str, name_tok: int, type_ids: list[str],
-                        init: tuple[int, int] | None,
+    def record_variable(self, start: int, name: str, name_tok: int,
+                        type_ids: list[str], init: tuple[int, int] | None,
                         cls: ClassInfo | None) -> None:
         type_text = " ".join(type_ids)
-        local = Local(name=name, type_text=type_text, tok=name_tok, init=init)
+        local = Local(name=name, type_text=type_text, tok=name_tok, init=init,
+                      spelled_type=text_of(self.tokens, start, name_tok))
         if cls is not None:
             cls.members[name] = local
         else:
@@ -670,6 +726,9 @@ def scan_statement_head(p: _Parser, fn: Function, i: int, hi: int,
     call, or an assignment, and returns the next scan index (which never
     jumps past nested interesting constructs — it advances minimally)."""
     toks = p.tokens
+    after_decl = scan_indirect_local(p, fn, i, hi)
+    if after_decl is not None:
+        return after_decl
     spelled, j = read_qualified(toks, i)
     name = spelled.split("::")[-1]
 
@@ -731,7 +790,8 @@ def scan_statement_head(p: _Parser, fn: Function, i: int, hi: int,
             elif after.text == ":":  # range-for binding
                 end = p.skip_to_semi(j2, hi)
                 init = (j2 + 1, end - 1)
-            loc = Local(name=dname, type_text=spelled, tok=j, init=init)
+            loc = Local(name=dname, type_text=spelled, tok=j, init=init,
+                        spelled_type=text_of(toks, i, j))
             fn.locals[dname] = loc
             base = spelled.split("::")[-1]
             base = base.split("<")[0]
@@ -743,6 +803,50 @@ def scan_statement_head(p: _Parser, fn: Function, i: int, hi: int,
                     block_end=p.match.get(block_stack[-1], fn.body[1])))
             return j2 + 1
     return j
+
+
+# Tokens that can precede a declaration statement, a for-init or a
+# range-for binding.
+_DECL_PREV = {";", "{", "}", "(", ")"}
+_DECLARATORS = {"&", "*", "&&"}
+
+
+def scan_indirect_local(p: _Parser, fn: Function, i: int,
+                        hi: int) -> int | None:
+    """`[cv] Type (&|*|&&)+ [cv] name (= | : | {)` at the head of a
+    statement, a for-init or a range-for: records a reference / pointer
+    local and returns the index of its first initializer token; None
+    when the tokens at i are not such a declaration."""
+    toks = p.tokens
+    prev = toks[i - 1]
+    if prev.kind != OP or prev.text not in _DECL_PREV:
+        return None
+    j = i
+    while j < hi and toks[j].kind == ID and toks[j].text in TYPE_PREFIX:
+        j += 1
+    if j >= hi or toks[j].kind != ID or toks[j].text in KEYWORDS:
+        return None
+    type_lo = j
+    spelled, j = read_qualified(toks, j)
+    k = j
+    while k < hi and ((toks[k].kind == OP and toks[k].text in _DECLARATORS)
+                      or toks[k].text in {"const", "volatile"}):
+        k += 1
+    if (not any(t.text in _DECLARATORS for t in toks[j:k])
+            or k + 1 >= hi or toks[k].kind != ID or toks[k].text in KEYWORDS
+            or toks[k + 1].kind != OP or toks[k + 1].text not in {"=", ":",
+                                                                  "{"}):
+        return None
+    # An enclosing '(' (for / if / while head) bounds the initializer.
+    limit = p.match.get(i - 1, hi) if prev.text == "(" else hi
+    if toks[k + 1].text == "{":
+        end = p.match.get(k + 1, k + 1)
+    else:
+        end = min(p.skip_to_semi(k + 1, hi) - 1, limit)
+    fn.locals[toks[k].text] = Local(
+        name=toks[k].text, type_text=spelled, tok=k, init=(k + 2, end),
+        spelled_type=text_of(toks, type_lo, k), is_indirect=True)
+    return k + 2
 
 
 def split_args(p: _Parser, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -833,6 +937,99 @@ class Repo:
                     if a.lhs.split(".")[-1].split("->")[-1] == field_name:
                         out.append((fm, fn, a))
         return out
+
+    def lookup_var(self, fn: Function, name: str) -> Local | None:
+        """The declaration `name` resolves to inside `fn`: a local, a
+        parameter, or a member of the owning class."""
+        loc = fn.locals.get(name)
+        if loc is not None:
+            return loc
+        for prm in fn.params:
+            if prm.name == name:
+                return prm
+        if fn.cls:
+            for cls in self.class_named(fn.cls):
+                m = cls.members.get(name)
+                if m is not None:
+                    return m
+        return None
+
+    def field_owner(self, fn: Function, path: list[str]) -> str | None:
+        """Unqualified name of the class whose member the last component
+        of `path` names — `fr.base` is FramePlan's `base` when `fr` is a
+        FramePlan; a bare name is a member of fn's own class. None when
+        the owner cannot be told (an unresolved receiver, `auto`, a
+        template or std type)."""
+        if len(path) == 1:
+            name = path[0]
+            if name in fn.locals or any(p.name == name for p in fn.params):
+                return None
+            return fn.cls if self.lookup_var(fn, name) is not None else None
+        var = self.resolve(fn, path[:-1])
+        return class_of(var) if var is not None else None
+
+    def resolve(self, fn: Function, path: list[str]) -> Local | None:
+        """The declaration a member path `a.b.c` names inside `fn`."""
+        var = self.lookup_var(fn, path[0])
+        for member in path[1:]:
+            owner = class_of(var) if var is not None else None
+            if owner is None:
+                return None
+            var = next((c.members[member] for c in self.class_named(owner)
+                        if member in c.members), None)
+        return var
+
+    def mark_thread_lambdas(self) -> None:
+        """Sets Lambda.on_thread for every lambda handed to a thread
+        constructor: `std::thread(..)` / `std::jthread(..)`, a thread
+        local's constructor, or `emplace_back` / `emplace` / `push_back`
+        into a container whose declared element type is a thread. Runs
+        once every file is parsed, since the container may be a member
+        declared in a header."""
+        for fn in self.functions():
+            for lam in fn.lambdas:
+                lam.on_thread = self._spawns_thread(fn, lam)
+
+    def _spawns_thread(self, fn: Function, lam: Lambda) -> bool:
+        # A local constructed from the lambda: `std::thread t([..] {..});`.
+        for loc in fn.locals.values():
+            if loc.init is not None and loc.init[0] == lam.intro_tok:
+                words = type_words(loc.type_text)
+                return bool(words) and words[-1] in THREAD_TYPES
+        # Otherwise the call the lambda is passed to as an argument.
+        call = next((c for c in fn.calls
+                     if any(lo == lam.intro_tok for lo, _ in c.args)), None)
+        if call is None:
+            return False
+        if call.recv is None:
+            return call.name in THREAD_TYPES
+        if call.name not in THREAD_SINKS:
+            return False
+        var = self.resolve(fn, call.recv.split("."))
+        if var is None:
+            return False
+        spelled = var.spelled_type or var.type_text
+        _, _, args = spelled.partition("<")
+        return any(w in THREAD_TYPES for w in type_words(args))
+
+
+def type_words(text: str) -> list[str]:
+    return re.findall(r"[A-Za-z_]\w*", text)
+
+
+def class_of(var: Local) -> str | None:
+    """The class a variable's declared type names (through const, `&`,
+    `*` and namespace qualifiers); None for `auto`, templates and std
+    types, whose fields the model cannot attribute."""
+    spelled = var.spelled_type or var.type_text
+    if "<" in spelled:
+        return None
+    words = [w for w in type_words(spelled)
+             if w not in TYPE_PREFIX and w not in {"struct", "class",
+                                                   "typename"}]
+    if not words or "std" in words or words[-1] == "auto":
+        return None
+    return words[-1]
 
 
 def parse_file(rel: str, text: str) -> FileModel:

@@ -16,6 +16,11 @@ those we:
   * report `lock-across-dispatch` when a guard is held at a call that
     (transitively) reaches `util::parallel_for` — the worker team would
     contend on, or deadlock against, the caller's lock.
+
+A lambda handed to a thread constructor (`std::thread`, or
+`emplace_back` into a `std::vector<std::thread>`) runs on the new
+thread: nothing in its body is under the spawning function's guards,
+and none of it is part of what that function does for its callers.
 """
 
 from __future__ import annotations
@@ -45,19 +50,8 @@ class Acq:
 def _recv_type(repo: Repo, fn: Function, recv: str | None) -> str:
     if not recv:
         return ""
-    head = recv.split(".")[0]
-    loc = fn.locals.get(head)
-    if loc is not None:
-        return loc.type_text
-    for prm in fn.params:
-        if prm.name == head:
-            return prm.type_text
-    if fn.cls:
-        for cls in repo.class_named(fn.cls):
-            m = cls.members.get(head)
-            if m is not None:
-                return m.type_text
-    return ""
+    var = repo.lookup_var(fn, recv.split(".")[0])
+    return var.type_text if var is not None else ""
 
 
 def _mutex_key(repo: Repo, fm, fn: Function, g: Guard) -> str:
@@ -102,7 +96,8 @@ def _callee_functions(repo: Repo, fn: Function, call) -> list[Function]:
 
 
 def _direct_acquires(repo: Repo, fm, fn: Function) -> set[str]:
-    return {_mutex_key(repo, fm, fn, g) for g in fn.guards}
+    return {_mutex_key(repo, fm, fn, g) for g in fn.guards
+            if fn.on_caller_thread(g.tok)}
 
 
 def _transitive(repo: Repo, scanned: set[str],
@@ -118,6 +113,8 @@ def _transitive(repo: Repo, scanned: set[str],
                 acc = out.setdefault(fn.name, set())
                 before = len(acc)
                 for call in fn.calls:
+                    if not fn.on_caller_thread(call.tok):
+                        continue
                     for callee in _callee_functions(repo, fn, call):
                         acc |= out.get(callee.name, set())
                 if len(acc) != before:
@@ -153,7 +150,7 @@ def run(repo: Repo, scanned: set[str]) -> list[Finding]:
             # Nested RAII acquisitions.
             for ga, ka in guards:
                 for gb, kb in guards:
-                    if ga is gb:
+                    if ga is gb or not fn.same_thread(ga.tok, gb.tok):
                         continue
                     if any(lo <= gb.tok < hi for lo, hi in ga.held):
                         edges.setdefault((ka, kb), Acq(
@@ -169,7 +166,8 @@ def run(repo: Repo, scanned: set[str]) -> list[Finding]:
             for call in fn.calls:
                 held_under = [
                     (g, k) for g, k in guards
-                    if any(lo <= call.tok < hi for lo, hi in g.held)]
+                    if any(lo <= call.tok < hi for lo, hi in g.held)
+                    and fn.same_thread(g.tok, call.tok)]
                 if not held_under:
                     continue
                 if call.name in DISPATCH_NAMES or \

@@ -3,13 +3,14 @@
 `rng-provenance` — every `Xoshiro256ss` construction (local, member
 init-list) and every `splitmix_at` counter base must be *derived*: the
 seed expression, traced through local initializers, struct-field writes
-and function parameters (via the repo-wide call graph), must reach a
-sanctioned source — `util::derive_seed`, `util::SeedMixer`,
-`util::splitmix_at`, or the hash::mix seed premixers.  A trace that
-bottoms out in nothing but literals (or unsanctioned calls) is a
-stealth-constant or ambient seed and is reported — at the construction
-when it is locally wrong, at the *call site* when a caller passes a
-bad value into a seed parameter.
+(resolved by the receiver's owning type: a write to `Job::base` never
+feeds a read of `FramePlan::base`) and function parameters (via the
+repo-wide call graph), must reach a sanctioned source —
+`util::derive_seed`, `util::SeedMixer`, `util::splitmix_at`, or the
+hash::mix seed premixers.  A trace that bottoms out in nothing but
+literals (or unsanctioned calls) is a stealth-constant or ambient seed
+and is reported — at the construction when it is locally wrong, at the
+*call site* when a caller passes a bad value into a seed parameter.
 
 `rng-purity` — a function that draws randomness (invokes a
 Xoshiro-typed value or `draw_binomial`) must not also touch mutable
@@ -153,7 +154,8 @@ class _Tracer:
                 if prm.name == name:
                     return self._param_ok(fn, idx, prm.name, depth, visited)
             # Member of the owning class?
-            member_ok = self._field_ok(name, fn, depth, visited)
+            member_ok = self._field_ok(self.repo.field_owner(fn, [name]),
+                                       name, depth, visited)
             if member_ok is not None:
                 return member_ok
             # File-scope constant?
@@ -164,24 +166,34 @@ class _Tracer:
             return True  # unresolvable: stay conservative, no false alarm
 
         # Field path `x.y` (or deeper): provenance of the final field.
-        field_name = name.split(".")[-1]
-        ok = self._field_ok(field_name, fn, depth, visited)
+        path = name.split(".")
+        ok = self._field_ok(self.repo.field_owner(fn, path), path[-1],
+                            depth, visited)
         return True if ok is None else ok
 
-    def _field_ok(self, field_name: str, fn: Function, depth: int,
+    def _field_ok(self, owner: str | None, field_name: str, depth: int,
                   visited: set) -> bool | None:
-        """Checks every in-repo write of `.field_name` (assignments and
-        ctor init-lists). None = no writes found (unknown, stay quiet);
+        """Checks every in-repo write of `owner::field_name` (assignments
+        and ctor init-lists); a write whose receiver resolves to another
+        class is a different field. An unknown owner, on either side,
+        matches any class. None = no writes found (unknown, stay quiet);
         otherwise True iff at least one write is derived AND no write is
         a bare constant (bad writes are blamed at their own site)."""
-        key = ("field", field_name)
+        key = ("field", owner, field_name)
         if key in visited:
             return True
         visited.add(key)
-        writes = self.repo.field_assigns(field_name)
+
+        def same_owner(wfn: Function, path: list[str]) -> bool:
+            w_owner = self.repo.field_owner(wfn, path)
+            return owner is None or w_owner is None or w_owner == owner
+
+        writes = [(wfm, wfn, a)
+                  for wfm, wfn, a in self.repo.field_assigns(field_name)
+                  if same_owner(wfn, a.lhs.split("."))]
         init_writes = []
         for wfn in self.repo.functions():
-            if not wfn.is_ctor:
+            if not wfn.is_ctor or owner not in (None, wfn.cls):
                 continue
             for mname, rng_ in wfn.init_list:
                 if mname == field_name:
@@ -252,18 +264,8 @@ class _Tracer:
         return False
 
     def _var_type(self, fn: Function, name: str) -> str:
-        loc = fn.locals.get(name)
-        if loc is not None:
-            return loc.type_text
-        for prm in fn.params:
-            if prm.name == name:
-                return prm.type_text
-        if fn.cls:
-            for cls in self.repo.class_named(fn.cls):
-                m = cls.members.get(name)
-                if m is not None:
-                    return m.type_text
-        return ""
+        var = self.repo.lookup_var(fn, name)
+        return var.type_text if var is not None else ""
 
     @staticmethod
     def _is_constant_expr(fm, lo: int, hi: int) -> bool:
@@ -286,9 +288,10 @@ def _provenance(repo: Repo, scanned: set[str]) -> list[Finding]:
             continue
         for fn in fm.functions:
             tracer = _Tracer(repo)
-            # Xoshiro locals.
+            # Xoshiro locals (a reference or pointer seeds nothing).
             for loc in fn.locals.values():
-                if RNG_TYPE not in loc.type_text or loc.init is None:
+                if RNG_TYPE not in loc.type_text or loc.init is None \
+                        or loc.is_indirect:
                     continue
                 if not tracer.trace(fm, fn, loc.init[0], loc.init[1],
                                     _MAX_DEPTH, set()):
