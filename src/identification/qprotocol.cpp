@@ -33,8 +33,8 @@ IdentificationOutcome QProtocol::identify(rfid::ReaderContext& ctx) {
     for (std::uint64_t s = 0; s + 1 < slots && left > 0; ++s) {
       const double p_slot =
           1.0 / static_cast<double>(slots - s);  // conditional uniform
-      // util::draw_binomial: bit-identical draws, minus the signgam race
-      // of constructing std::binomial_distribution on this thread.
+      // util::draw_binomial: bit-identical to std::binomial_distribution,
+      // without lgamma()'s write to the global signgam.
       const std::uint64_t c = util::draw_binomial(left, p_slot, rng);
       occupancy[s] = static_cast<std::uint32_t>(c);
       left -= c;

@@ -22,10 +22,8 @@ double elapsed_us(Clock::time_point start) {
       .count();
 }
 
-// Binomial draws go through util::draw_binomial, which serialises the
-// lgamma-calling construction of std::binomial_distribution (glibc
-// signgam data race under concurrent workers) while keeping draws
-// bit-identical to the historical in-line use.
+// Binomial draws go through util::draw_binomial: lock-free, and
+// bit-identical to the historical in-line std::binomial_distribution.
 using util::draw_binomial;
 
 std::uint64_t sum_counts(const std::uint32_t* counts, std::size_t w) {
@@ -551,10 +549,18 @@ FrameResult FrameEngine::execute(const FrameRequest& request,
     return std::move(res.front());
   }
   const auto start = Clock::now();
+  FrameResult out = run_frame(
+      request, mode_ == FrameMode::kExact && walk_sharded && tags_ != nullptr,
+      rng);
+  counters_.of(out.shape).wall_us += elapsed_us(start);
+  return out;
+}
+
+FrameResult FrameEngine::run_frame(const FrameRequest& request,
+                                   bool sharded_exact,
+                                   util::Xoshiro256ss& rng) {
   FrameResult out;
   out.shape = request.shape();
-  const bool sharded_exact =
-      mode_ == FrameMode::kExact && walk_sharded && tags_ != nullptr;
   std::uint64_t slots = 0;
   switch (out.shape) {
     case FrameShape::kBloom: {
@@ -618,7 +624,6 @@ FrameResult FrameEngine::execute(const FrameRequest& request,
   c.frames += 1;
   c.slots += slots;
   c.tag_tx += out.tx;
-  c.wall_us += elapsed_us(start);
   return out;
 }
 
@@ -654,9 +659,17 @@ std::vector<FrameResult> FrameEngine::execute_batch(
       requests.size() >= 2) {
     return execute_bloom_batch_blocked(requests, rng);
   }
+  // Sequential fall-through: untimed frames, one clock pair per batch,
+  // the wall time charged to the first request's shape (the rule of
+  // execute_batch_sharded; batches are of one shape in practice).
   std::vector<FrameResult> results;
+  if (requests.empty()) return results;
   results.reserve(requests.size());
-  for (const FrameRequest& r : requests) results.push_back(execute(r, rng));
+  const auto start = Clock::now();
+  for (const FrameRequest& r : requests) {
+    results.push_back(run_frame(r, /*sharded_exact=*/false, rng));
+  }
+  counters_.of(requests.front().shape()).wall_us += elapsed_us(start);
   return results;
 }
 
@@ -1132,8 +1145,8 @@ std::vector<FrameResult> FrameEngine::execute_sampled_batch(
   batch_counts_.assign(total_slots, 0);
 
   // Phase 1 — plan: every binomial on the caller's stream, in request
-  // order (util::draw_binomial keeps the serialised construction that
-  // makes this safe under concurrent workers). Scatter shapes also
+  // order (util::draw_binomial shares no state, so concurrent workers
+  // each drawing on their own stream need no lock). Scatter shapes also
   // derive their counter base from exactly one caller draw, so the
   // stream position after the batch depends only on the request list.
   std::uint64_t total_draws = 0;

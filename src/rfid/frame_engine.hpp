@@ -214,7 +214,10 @@ struct ShapeCounters {
   std::uint64_t frames = 0;   ///< frames executed
   std::uint64_t slots = 0;    ///< slots simulated (w, f or 1 per frame)
   std::uint64_t tag_tx = 0;   ///< individual tag transmissions generated
-  double wall_us = 0.0;       ///< host wall-clock spent executing
+  /// Host wall-clock spent executing, read once per execute() call or
+  /// per execute_batch() call, never per frame inside a batch: a batch's
+  /// whole wall time is charged to its first request's shape.
+  double wall_us = 0.0;
 
   ShapeCounters& operator+=(const ShapeCounters& o) noexcept {
     frames += o.frames;
@@ -307,7 +310,8 @@ class FrameEngine {
   /// whenever the two walks diverge in bits. Sequential policies keep the
   /// legacy dispatch: all-Bloom exact-mode batches of ≥ 2 frames take
   /// the blocked path (one population walk for the whole batch);
-  /// everything else runs the frames sequentially through execute().
+  /// everything else runs the frames sequentially through the dispatch
+  /// of execute(), timed once for the whole batch.
   /// See the determinism contract above.
   std::vector<FrameResult> execute_batch(
       const std::vector<FrameRequest>& requests, util::Xoshiro256ss& rng);
@@ -316,6 +320,12 @@ class FrameEngine {
   void reset_counters() noexcept { counters_ = EngineCounters{}; }
 
  private:
+  /// One frame through the sequential dispatch (or the sharded exact
+  /// walk when `sharded_exact`), counting frames, slots and tag_tx for
+  /// its shape. Untimed: callers charge wall_us once per call / batch.
+  FrameResult run_frame(const FrameRequest& request, bool sharded_exact,
+                        util::Xoshiro256ss& rng);
+
   // Scalar per-frame paths, bit-identical to the legacy executors.
   void exact_bloom(const BloomFrameConfig& cfg, util::Xoshiro256ss& rng,
                    FrameResult& out);

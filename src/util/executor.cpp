@@ -261,9 +261,14 @@ void Executor::worker_loop() {
     std::uint64_t steals = 0;
     participate(*job, slot, &steals);
     if (steals != 0) steals_.fetch_add(steals, std::memory_order_relaxed);
-    if (job->helpers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // Leave under done_mu: once helpers reads 0 the run() caller may
+    // destroy the stack-allocated Job, so the last touch of it must be
+    // this locked decrement and notify, not a lock taken after it.
+    {
       std::lock_guard<std::mutex> lk(job->done_mu);
-      job->done_cv.notify_all();
+      if (job->helpers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        job->done_cv.notify_all();
+      }
     }
   }
 }

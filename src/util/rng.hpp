@@ -44,8 +44,9 @@ class SplitMix64 {
 /// xoshiro256** 1.0 (Blackman & Vigna) — the workhorse generator.
 ///
 /// Satisfies UniformRandomBitGenerator, so it plugs into <random>
-/// distributions (we use std::binomial_distribution in the sampled frame
-/// executor). State is seeded through SplitMix64 as the authors recommend.
+/// distributions (draw_binomial consumes it through
+/// std::generate_canonical and std::normal_distribution). State is
+/// seeded through SplitMix64 as the authors recommend.
 class Xoshiro256ss {
  public:
   using result_type = std::uint64_t;
@@ -128,15 +129,15 @@ std::uint64_t derive_seed(std::uint64_t master, std::uint64_t index) noexcept;
 /// Binomial(trials, p) draw — the one sanctioned way to sample a binomial
 /// anywhere in src/.
 ///
-/// Wraps std::binomial_distribution (so draws are bit-identical to the
-/// historical in-line uses) but serialises the draw behind a global mutex:
-/// glibc's lgamma(), which libstdc++ calls both while precomputing the
-/// distribution's parameters and inside the BTPE rejection step of large-np
-/// draws, writes the process-global `signgam`, so two worker threads
-/// drawing concurrently is a genuine data race (found by
-/// tests/race_stress_test.cpp under the tsan preset). The rng stream is
-/// consumed in exactly the same order as before, and sampled-mode frames
-/// make one draw per frame, so the lock is far off the per-slot hot path.
+/// A port of libstdc++-12's std::binomial_distribution: each draw returns
+/// the same value and consumes `rng` exactly as
+/// std::binomial_distribution<std::uint64_t>(trials, p)(rng) does, so
+/// results stay bit-identical to the historical in-line uses. Devroye's
+/// rejection sampler runs when trials·min(p, 1−p) ≥ 8, the waiting-time
+/// method otherwise, reflected for p > 0.5. It calls lgamma_r where
+/// libstdc++ calls lgamma(), whose write to glibc's process-global
+/// `signgam` would race across worker threads, and touches no other
+/// shared state: concurrent draws on distinct streams need no lock.
 std::uint64_t draw_binomial(std::uint64_t trials, double p, Xoshiro256ss& rng);
 
 /// Splitmix64-based sponge for deriving one seed from several typed

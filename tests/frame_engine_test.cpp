@@ -973,6 +973,50 @@ TEST(FrameEngineCounters, CountFramesSlotsAndTransmissions) {
   EXPECT_EQ(engine.counters().total().frames, 0u);
 }
 
+// A sequential batch is timed once, not once per frame: its frames,
+// slots and transmissions are counted as per-frame execute() counts
+// them, and the batch's wall time lands on its first request's shape.
+TEST(FrameEngineCounters, SequentialBatchCountsEveryFrameAndTimesOnce) {
+  constexpr std::uint64_t kFrames = 1000;
+  constexpr std::size_t kTags = 100000;
+  std::vector<FrameRequest> batch;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    batch.push_back(FrameRequest::single_slot(
+        1e-5 * static_cast<double>(1 + i % 4), i));
+  }
+  FrameEngine engine(kTags, Channel{});
+  util::Xoshiro256ss rng(5);
+  const std::vector<FrameResult> res = engine.execute_batch(batch, rng);
+  ASSERT_EQ(res.size(), kFrames);
+  std::uint64_t tx = 0;
+  for (const FrameResult& r : res) tx += r.tx;
+  EXPECT_GT(tx, 0u);
+
+  const ShapeCounters single = engine.counters().of(FrameShape::kSingleSlot);
+  EXPECT_EQ(single.frames, kFrames);
+  EXPECT_EQ(single.slots, kFrames);
+  EXPECT_EQ(single.tag_tx, tx);
+  EXPECT_GT(single.wall_us, 0.0);
+  EXPECT_EQ(engine.counters().batches, 1u);
+  EXPECT_EQ(engine.counters().total().frames, kFrames);
+
+  // The batch is the per-frame dispatch: same results, same stream.
+  FrameEngine per_frame(kTags, Channel{});
+  util::Xoshiro256ss per_frame_rng(5);
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    const FrameResult r = per_frame.execute(batch[i], per_frame_rng);
+    EXPECT_EQ(r.single, res[i].single) << "frame " << i;
+    EXPECT_EQ(r.tx, res[i].tx) << "frame " << i;
+  }
+  expect_same_rng(rng, per_frame_rng);
+
+  // A one-frame execute() is still timed on its own.
+  engine.execute(batch.front(), rng);
+  const ShapeCounters after = engine.counters().of(FrameShape::kSingleSlot);
+  EXPECT_EQ(after.frames, kFrames + 1);
+  EXPECT_GT(after.wall_us, single.wall_us);
+}
+
 // ---- the adaptive policy (ExecutionPolicy::automatic) -----------------
 //
 // kAuto's contract: whatever the cost model decides, results are

@@ -13,6 +13,7 @@
 //   * metrics() / queue_depth() / poll() snapshots during the storm
 //   * concurrent shutdown() callers (double-join on the pool)
 //   * PersistencePlanner::choose / stats / clear from many threads
+//   * util::draw_binomial on per-thread streams (no shared state)
 //   * the sharded exact-mode FrameEngine walk: every worker spins up
 //     its own parallel_for shard team; scratch must stay private and
 //     duplicate-seed jobs bit-identical
@@ -427,6 +428,52 @@ TEST(RaceStress, PlannerChooseStatsClearStorm) {
   for (unsigned t = 0; t < kChoosers; ++t) threads[t].join();
   done.store(true);
   churner.join();
+}
+
+// util::draw_binomial from several threads at once, each on its own
+// stream: the draw must touch no state shared between callers. glibc's
+// lgamma() writes the process-global `signgam`, which TSan reports, so
+// the Devroye path (t·min(p, 1−p) ≥ 8, where libstdc++ calls lgamma)
+// must use lgamma_r; the waiting-time path calls only log(). Nothing
+// serialises the draws, so each thread's sequence must also equal the
+// same stream drawn alone.
+TEST(RaceStress, ConcurrentBinomialDrawsShareNoState) {
+  constexpr unsigned kThreads = 4;  // fixed, never sized by core count
+  constexpr std::uint64_t kIters = 2000;
+  const auto draw_sequence = [](std::uint64_t seed) {
+    util::Xoshiro256ss rng(seed);
+    std::vector<std::uint64_t> out;
+    out.reserve(2 * kIters);
+    for (std::uint64_t i = 0; i < kIters; ++i) {
+      // Devroye: t·p12 ≈ 3·10⁵, reflected for p = 0.7.
+      out.push_back(
+          util::draw_binomial(1'000'000 + i, i % 2 == 0 ? 0.3 : 0.7, rng));
+      // Waiting time: t·p between 0.5 and 3.5.
+      out.push_back(util::draw_binomial(
+          5000, 1e-4 * static_cast<double>(1 + i % 7), rng));
+    }
+    return out;
+  };
+
+  std::vector<std::vector<std::uint64_t>> alone;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    alone.push_back(draw_sequence(600 + t));
+  }
+
+  std::vector<std::vector<std::uint64_t>> together(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      together[t] = draw_sequence(600 + t);
+    });
+  }
+  go.store(true);
+  for (std::thread& th : threads) th.join();
+  for (unsigned t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(together[t], alone[t]) << "thread " << t;
+  }
 }
 
 TEST(RaceStress, WireFrontDoorStorm) {

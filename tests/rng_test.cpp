@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <set>
 #include <string_view>
 #include <vector>
@@ -210,7 +212,7 @@ TEST(DrawBinomial, ExtremeTailProbabilitiesBehave) {
 TEST(DrawBinomial, PersistenceGridProbabilitiesAreDeterministic) {
   // Bloom persistence lives on the 1/65536 grid (BloomFrameConfig's
   // p_numerator); every grid point must reproduce bit-identically from
-  // the same stream — draw_binomial may serialise internally but the
+  // the same stream — draw_binomial keeps no state of its own, so the
   // result is a pure function of (trials, p, rng state).
   for (const std::uint32_t p_n : {1u, 3u, 256u, 32768u, 65535u}) {
     const double p = static_cast<double>(p_n) / 65536.0;
@@ -222,6 +224,42 @@ TEST(DrawBinomial, PersistenceGridProbabilitiesAreDeterministic) {
           << "p_n " << p_n << " trials 2^" << (10 + 10 * i);
     }
   }
+}
+
+TEST(DrawBinomial, MatchesLibstdcxxBitForBit) {
+  // draw_binomial is a port of libstdc++'s binomial_distribution; this
+  // grid pins it to the library draw for draw: the same value and the
+  // same stream position afterwards. The (t, p) grid spans both of the
+  // library's paths and crosses the switch between them:
+  // t·min(p, 1−p) = 7.9984 (t = 16, p = 0.4999 and 0.5001), exactly 8
+  // (t = 16, p = 0.5) and ≈ 10 (t = 100, p = 0.1, and p = 0.9 reflected).
+  const std::uint64_t trials[] = {1,      7,      8,       9,       16,
+                                  100,    4096,   24576,   50000,   200000,
+                                  1000000, 3000000, 1ULL << 40};
+  const double probs[] = {1e-9, 1e-6, 1.59e-6, 1e-4,   1e-3, 0.01,
+                          0.1,  0.4999, 0.5,   0.5001, 0.9,  0.999999};
+  constexpr std::uint64_t kSeeds = 100;
+  int below = 0, at = 0, above = 0;
+  for (const std::uint64_t t : trials) {
+    for (const double p : probs) {
+      const double np12 = static_cast<double>(t) * std::min(p, 1.0 - p);
+      (np12 < 8 ? below : np12 == 8 ? at : above) += 1;
+      for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+        const std::uint64_t key = SeedMixer(seed).absorb(t).absorb(p).value();
+        Xoshiro256ss ours(key);
+        Xoshiro256ss ref(key);
+        const std::uint64_t got = draw_binomial(t, p, ours);
+        std::binomial_distribution<std::uint64_t> dist(t, p);
+        const std::uint64_t want = dist(ref);
+        ASSERT_EQ(got, want) << "t " << t << " p " << p << " seed " << seed;
+        ASSERT_EQ(ours(), ref()) << "stream position after t " << t << " p "
+                                 << p << " seed " << seed;
+      }
+    }
+  }
+  EXPECT_GT(below, 0);
+  EXPECT_GT(at, 0);
+  EXPECT_GT(above, 0);
 }
 
 TEST(DeriveSeed, AdjacentStreamsAreDecorrelated) {

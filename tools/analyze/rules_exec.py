@@ -55,7 +55,8 @@ def _blocking_kind(call) -> str | None:
 
 
 def run(repo: Repo, scanned: set[str]) -> list[Finding]:
-    # Seed map: function name -> blocking kinds it performs directly.
+    # Seed map: qualified function name -> blocking kinds it performs
+    # directly.
     seeds: dict[str, set[str]] = {}
     for fm in repo.files.values():
         if fm.rel not in scanned or fm.rel.startswith(_IMPL_PREFIXES):
@@ -64,7 +65,7 @@ def run(repo: Repo, scanned: set[str]) -> list[Finding]:
             for call in fn.calls:
                 kind = _blocking_kind(call)
                 if kind is not None:
-                    seeds.setdefault(fn.name, set()).add(kind)
+                    seeds.setdefault(fn.qname, set()).add(kind)
     trans = _transitive(repo, scanned, seeds)
 
     findings: list[Finding] = []
@@ -95,7 +96,7 @@ def run(repo: Repo, scanned: set[str]) -> list[Finding]:
                 if call.name in DISPATCH_NAMES:
                     continue  # nesting-safe re-dispatch: sanctioned
                 for callee in _callee_functions(repo, fn, call):
-                    kinds = trans.get(callee.name, set())
+                    kinds = trans.get(callee.qname, set())
                     if kinds:
                         joined = "/".join(sorted(kinds))
                         findings.append(Finding(

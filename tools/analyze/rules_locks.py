@@ -80,19 +80,28 @@ def _callee_functions(repo: Repo, fn: Function, call) -> list[Function]:
     """Repo functions a call may target — receiver-typed calls are only
     followed when the receiver's type resolves to a repo class, so a
     `condition_variable::wait` can never alias a repo method named
-    `wait`."""
+    `wait`. Among same-named candidates, a receiver's class, a spelled
+    `Class::` qualifier or (for a bare call) the caller's own class
+    narrows the set; with no match every candidate stays."""
     if call.name in _STD_SYNC_METHODS:
         return []
+    owner = fn.cls
     if call.recv is not None:
         rtype = _recv_type(repo, fn, call.recv)
         base = rtype.split("::")[-1].split("<")[0].strip()
         if base in _CV_TYPES or base in MUTEX_TYPES:
             return []
         words = rtype.replace("*", " ").replace("&", " ").split()
-        if not any(repo.class_named(w.split("<")[0].split("::")[-1])
-                   for w in words):
+        classes = [w.split("<")[0].split("::")[-1] for w in words
+                   if repo.class_named(w.split("<")[0].split("::")[-1])]
+        if not classes:
             return []
-    return repo.functions_named(call.name)
+        owner = classes[0]
+    elif "::" in call.qual:
+        owner = call.qual.split("::")[-2]
+    candidates = repo.functions_named(call.name)
+    narrowed = [c for c in candidates if c.cls == owner]
+    return narrowed or candidates
 
 
 def _direct_acquires(repo: Repo, fm, fn: Function) -> set[str]:
@@ -102,7 +111,9 @@ def _direct_acquires(repo: Repo, fm, fn: Function) -> set[str]:
 
 def _transitive(repo: Repo, scanned: set[str],
                 seed_map: dict[str, set[str]]) -> dict[str, set[str]]:
-    """Name-keyed fixpoint closure of `seed_map` over the call graph."""
+    """Fixpoint closure of `seed_map` over the call graph, keyed by
+    qualified function name, so same-named methods of different classes
+    never share an entry."""
     out = {k: set(v) for k, v in seed_map.items()}
     for _ in range(12):
         changed = False
@@ -110,13 +121,13 @@ def _transitive(repo: Repo, scanned: set[str],
             if fm.rel not in scanned:
                 continue
             for fn in fm.functions:
-                acc = out.setdefault(fn.name, set())
+                acc = out.setdefault(fn.qname, set())
                 before = len(acc)
                 for call in fn.calls:
                     if not fn.on_caller_thread(call.tok):
                         continue
                     for callee in _callee_functions(repo, fn, call):
-                        acc |= out.get(callee.name, set())
+                        acc |= out.get(callee.qname, set())
                 if len(acc) != before:
                     changed = True
         if not changed:
@@ -125,18 +136,19 @@ def _transitive(repo: Repo, scanned: set[str],
 
 
 def run(repo: Repo, scanned: set[str]) -> list[Finding]:
-    # Per-function direct lock sets, keyed by function *name* for the
-    # call-graph closure.
+    # Per-function direct lock sets, keyed by qualified function name
+    # for the call-graph closure.
     direct: dict[str, set[str]] = {}
     for fm in repo.files.values():
         if fm.rel not in scanned:
             continue
         for fn in fm.functions:
             if fn.guards:
-                direct.setdefault(fn.name, set()).update(
+                direct.setdefault(fn.qname, set()).update(
                     _direct_acquires(repo, fm, fn))
     trans_locks = _transitive(repo, scanned, direct)
-    dispatch_seed = {name: {"<dispatch>"} for name in DISPATCH_NAMES}
+    dispatch_seed = {fn.qname: {"<dispatch>"} for fn in repo.functions()
+                     if fn.name in DISPATCH_NAMES}
     trans_dispatch = _transitive(repo, scanned, dispatch_seed)
 
     edges: dict[tuple[str, str], Acq] = {}
@@ -170,21 +182,19 @@ def run(repo: Repo, scanned: set[str]) -> list[Finding]:
                     and fn.same_thread(g.tok, call.tok)]
                 if not held_under:
                     continue
-                if call.name in DISPATCH_NAMES or \
-                        trans_dispatch.get(call.name):
-                    callees = (_callee_functions(repo, fn, call)
-                               if call.name not in DISPATCH_NAMES else [1])
-                    if callees:
-                        for g, k in held_under:
-                            findings.append(Finding(
-                                rule="lock-across-dispatch", rel=fm.rel,
-                                line=call.line, col=1,
-                                message=(f"'{k}' is held across "
-                                         f"'{call.name}' which dispatches "
-                                         "onto the worker team; release "
-                                         "the lock before fanning out")))
-                for callee in _callee_functions(repo, fn, call):
-                    for key in trans_locks.get(callee.name, set()):
+                callees = _callee_functions(repo, fn, call)
+                if call.name in DISPATCH_NAMES or any(
+                        trans_dispatch.get(c.qname) for c in callees):
+                    for g, k in held_under:
+                        findings.append(Finding(
+                            rule="lock-across-dispatch", rel=fm.rel,
+                            line=call.line, col=1,
+                            message=(f"'{k}' is held across "
+                                     f"'{call.name}' which dispatches "
+                                     "onto the worker team; release "
+                                     "the lock before fanning out")))
+                for callee in callees:
+                    for key in trans_locks.get(callee.qname, set()):
                         for g, k in held_under:
                             if key == k:
                                 findings.append(Finding(
