@@ -30,8 +30,8 @@ inline rfid::EngineCounters& comparison_counters() {
 /// One comparison point: protocol × (n, ε, δ) on T2. The per-point seed
 /// absorbs every sweep coordinate through util::SeedMixer, so nearby
 /// (n, ε, δ) points and distinct protocols get uncorrelated streams.
-/// `--shards=N` routes every trial's frames through the sharded
-/// pipeline (exact walk / batched sampler; 0 ⇒ default thread count).
+/// `--shards=N` splits every trial's frame pipeline (exact walk /
+/// batched sampler) over N shards (0 ⇒ default thread count).
 inline sim::ExperimentSummary comparison_point(
     PopulationCache& pops, const std::string& protocol, std::size_t n,
     double eps, double delta, const util::Cli& cli, std::size_t trials) {

@@ -7,8 +7,8 @@
 // of probe cost our ledger includes). Headline averages: BFCE ~30× faster
 // than ZOE, ~2× faster than SRC.
 //
-// Flags: [--trials=15] [--exact] [--shards=N] — --shards routes every
-// trial through the sharded engine pipeline (reported protocol times are
+// Flags: [--trials=15] [--exact] [--shards=N] — --shards splits every
+// trial's frame pipeline over N shards (reported protocol times are
 // simulated airtime, so only host wall-clock changes).
 
 #include <iostream>

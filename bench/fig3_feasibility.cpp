@@ -10,7 +10,7 @@
 
 #include "bench_common.hpp"
 #include "core/analysis.hpp"
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 #include "util/rng.hpp"
 
 using namespace bfce;
@@ -39,10 +39,12 @@ int main(int argc, char** argv) {
         cfg.p_n = static_cast<std::uint32_t>(p * 1024.0);
         for (std::uint32_t j = 0; j < kK; ++j) cfg.seeds[j] = rng();
         const rfid::Channel ch;
-        const util::BitVector busy =
+        rfid::FrameEngine engine =
             cli.has("exact")
-                ? rfid::run_bloom_frame(pop, cfg, ch, rng)
-                : rfid::sampled_bloom_frame(n, cfg, ch, rng);
+                ? rfid::FrameEngine(pop, ch, rfid::FrameMode::kExact)
+                : rfid::FrameEngine(n, ch);
+        const util::BitVector busy =
+            engine.execute(rfid::FrameRequest::bloom(cfg), rng).busy;
         // Paper polarity: B(i)=1 ⇔ idle.
         ones_sum += static_cast<double>(kW - busy.count_ones());
       }

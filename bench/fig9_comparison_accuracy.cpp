@@ -8,9 +8,9 @@
 // show occasional violations (their accuracy depends on the luck of the
 // rough-estimation phase); BFCE meets it in every run.
 //
-// Flags: [--trials=15] [--exact] [--shards=N] — --shards routes every
-// trial through the sharded engine pipeline (results are a pure
-// function of the per-point seed for any shard count).
+// Flags: [--trials=15] [--exact] [--shards=N] — --shards splits every
+// trial's frame pipeline over N shards (results are a pure function of
+// the per-point seed for any shard count).
 
 #include <iostream>
 

@@ -13,10 +13,10 @@
 //                   [--attempts=2] [--seed=...] [--exact] [--csv]
 //                   [--shards=N]
 //
-// --shards=N turns on the sharded exact-mode population walk inside
-// every job's FrameEngine (N = 0 picks the host default); estimates are
-// unchanged by construction — the sharded walk is a pure function of
-// the job seed for any shard count.
+// --shards=N splits every job's frame pipeline over N shards (N = 0
+// picks the host default; omitted, one shard); estimates are unchanged
+// by construction — the pipeline is a pure function of the job seed for
+// any shard count.
 
 #include <chrono>
 #include <cstdint>
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   const auto attempts =
       static_cast<std::uint32_t>(cli.get_int("attempts", 2));
   const std::int64_t shards =
-      cli.get_int("shards", -1);  // -1 ⇒ sequential walk
+      cli.get_int("shards", -1);  // -1 ⇒ one shard
 
   bench::PopulationCache pops(cli.seed());
   const auto specs = build_workload(pops, jobs, cli.seed(), attempts);

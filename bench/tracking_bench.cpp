@@ -11,8 +11,8 @@
 //   $ tracking_bench [--rounds=60] [--n0=20000] [--q=0.02] [--seed=...]
 //                    [--exact] [--csv] [--smoke] [--shards=N]
 //
-// --shards=N routes every round's frames through the sharded
-// plan/render/reduce pipeline (0 ⇒ default thread count). Trajectories
+// --shards=N splits every round's frame pipeline over N shards
+// (0 ⇒ default thread count). Trajectories
 // are a pure function of the seed for any shard count, so this only
 // changes wall-clock, never the tracked numbers.
 //

@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "core/analysis.hpp"
 #include "math/stats.hpp"
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 #include "util/rng.hpp"
 
 using namespace bfce;
@@ -37,7 +37,9 @@ int main(int argc, char** argv) {
       rfid::BloomFrameConfig cfg;
       cfg.set_p_numerator(p_n);
       cfg.seeds = {rng(), rng(), rng()};
-      const auto busy = rfid::sampled_bloom_frame(n, cfg, ch, rng);
+      const auto busy = rfid::FrameEngine(n, ch)
+                            .execute(rfid::FrameRequest::bloom(cfg), rng)
+                            .busy;
       const double rho =
           1.0 - static_cast<double>(busy.count_ones()) / kW;
       rho_stats.add(rho);

@@ -26,13 +26,10 @@ ThresholdAnswer threshold_query(rfid::ReaderContext& ctx,
   double llr = 0.0;
   while (ans.slots < query.max_slots) {
     const std::uint64_t seed = ctx.next_seed();
-    const rfid::SlotState s =
-        ctx.mode() == rfid::FrameMode::kExact
-            ? rfid::run_single_slot(ctx.tags(), q, seed, ctx.channel(),
-                                    ctx.rng(), &ans.airtime.tag_tx_bits)
-            : rfid::sampled_single_slot(ctx.tags().size(), q,
-                                        ctx.channel(), ctx.rng(),
-                                        &ans.airtime.tag_tx_bits);
+    const rfid::FrameResult frame =
+        ctx.run_frame(rfid::FrameRequest::single_slot(q, seed));
+    ans.airtime.tag_tx_bits += frame.tx;
+    const rfid::SlotState s = frame.single;
     ans.airtime.add_reader_broadcast(query.seed_bits);
     ans.airtime.add_tag_slots(1);
     ++ans.slots;

@@ -46,13 +46,10 @@ EstimateOutcome ArtEstimator::estimate(rfid::ReaderContext& ctx,
   math::RunningStats per_round;
   for (std::uint32_t r = 0; r < params_.max_rounds; ++r) {
     const std::uint64_t seed = ctx.next_seed();
-    const auto states =
-        ctx.mode() == rfid::FrameMode::kExact
-            ? rfid::run_aloha_frame(ctx.tags(), params_.frame_size, p, seed,
-                                    ctx.channel(), ctx.rng(), &out.airtime.tag_tx_bits)
-            : rfid::sampled_aloha_frame(ctx.tags().size(),
-                                        params_.frame_size, p, ctx.channel(),
-                                        ctx.rng(), &out.airtime.tag_tx_bits);
+    const rfid::FrameResult frame = ctx.run_frame(
+        rfid::FrameRequest::aloha(params_.frame_size, p, seed));
+    out.airtime.tag_tx_bits += frame.tx;
+    const std::vector<rfid::SlotState>& states = frame.states;
     out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
     out.airtime.add_tag_slots(params_.frame_size);
     ++out.rounds;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/analysis.hpp"
 #include "estimators/lof.hpp"
@@ -48,13 +49,10 @@ EstimateOutcome EzbEstimator::estimate(rfid::ReaderContext& ctx,
   std::uint64_t idle_total = 0;
   for (std::uint32_t r = 0; r < rounds; ++r) {
     const std::uint64_t seed = ctx.next_seed();
-    const auto states =
-        ctx.mode() == rfid::FrameMode::kExact
-            ? rfid::run_aloha_frame(ctx.tags(), params_.frame_size, p, seed,
-                                    ctx.channel(), ctx.rng(), &out.airtime.tag_tx_bits)
-            : rfid::sampled_aloha_frame(ctx.tags().size(),
-                                        params_.frame_size, p, ctx.channel(),
-                                        ctx.rng(), &out.airtime.tag_tx_bits);
+    const rfid::FrameResult frame = ctx.run_frame(
+        rfid::FrameRequest::aloha(params_.frame_size, p, seed));
+    out.airtime.tag_tx_bits += frame.tx;
+    const std::vector<rfid::SlotState>& states = frame.states;
     out.airtime.add_reader_broadcast(params_.seed_bits + params_.size_bits);
     out.airtime.add_tag_slots(params_.frame_size);
     ++out.rounds;

@@ -16,10 +16,8 @@ EstimateOutcome LofEstimator::estimate(rfid::ReaderContext& ctx,
                                        const Requirement& /*req*/) {
   EstimateOutcome out;
   double index_sum = 0.0;
-  // All rounds submitted as one batch: a sharded engine runs them
-  // through one plan/render/reduce walk (or one batched-sampler pass);
-  // a sequential engine executes them per frame in the same order, so
-  // results are unchanged there.
+  // All rounds submitted as one batch: one pipeline pass (the exact
+  // walk or the batched sampler) serves them all.
   std::vector<rfid::FrameRequest> requests;
   requests.reserve(params_.rounds);
   for (std::uint32_t r = 0; r < params_.rounds; ++r) {

@@ -47,9 +47,9 @@ EstimateOutcome ZoeEstimator::estimate(rfid::ReaderContext& ctx,
     std::uint64_t done = 0;
     std::uint64_t target = m;
     const std::uint64_t cap = 8 * m;  // give up past 8× the plan
-    // Frames are submitted in bounded batches so a sharded engine can
-    // run each chunk through one batched-sampler pass / sharded walk
-    // instead of thousands of single-frame dispatches. The chunk never
+    // Frames are submitted in bounded batches so each chunk runs
+    // through one pipeline pass (batched sampler / exact walk) instead
+    // of thousands of single-frame passes. The chunk never
     // overruns the current target, so the adaptive re-plan below fires
     // at exactly the frame index it would have fired at frame-by-frame.
     constexpr std::uint64_t kChunkFrames = 4096;

@@ -13,27 +13,21 @@
 //   * Lottery frame    — each tag picks a geometrically distributed slot
 //                        (LOF, FNEB's run analysis, PET-style schemes).
 //
-// Each shape has two executors. `kExact` walks every tag and is the
+// Each shape runs in two modes. `kExact` walks every tag and is the
 // ground-truth agent-level simulation. `kSampled` draws aggregate
 // participation counts from the exact Binomial/multinomial laws, which is
 // statistically equivalent under ideal hashing and makes protocols that
 // need thousands of frames over millions of tags tractable. Tests verify
 // the equivalence (KS test over observed statistics).
 //
-// The free functions below are compatibility wrappers: the scalar loops
-// live in rfid/frame_engine.hpp's FrameEngine, which additionally offers
-// scratch reuse, batched execution and per-shape counters. New code
-// should submit FrameRequests through a ReaderContext / FrameEngine.
+// This header holds the frame configuration types; frames execute
+// through rfid/frame_engine.hpp's FrameEngine, usually via a
+// ReaderContext (run_frame / run_batch).
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "hash/persistence.hpp"
-#include "rfid/channel.hpp"
-#include "rfid/population.hpp"
-#include "util/bitvector.hpp"
-#include "util/rng.hpp"
 
 namespace bfce::rfid {
 
@@ -67,70 +61,5 @@ struct BloomFrameConfig {
     p = static_cast<double>(numerator) / 1024.0;
   }
 };
-
-/// Runs a Bloom frame tag-by-tag; returns the busy bitmap
-/// (bit i set ⇔ the reader sensed energy in slot i).
-///
-/// Note the polarity: the paper's B has B(i)=1 for *idle*; estimators
-/// convert. Keeping the executor in "busy" polarity avoids double
-/// negation everywhere else.
-/// Every executor optionally reports the number of individual tag
-/// transmissions it generated through `tx_count` (added, not assigned) —
-/// the input to the tag-side energy model.
-util::BitVector run_bloom_frame(const TagPopulation& tags,
-                                const BloomFrameConfig& cfg,
-                                const Channel& channel,
-                                util::Xoshiro256ss& rng,
-                                std::uint64_t* tx_count = nullptr);
-
-/// Aggregate-law Bloom frame: throws Binomial-distributed response counts
-/// into slots. Valid for ideal hashing (any persistence mode's marginal
-/// law); `n` is the tag count.
-util::BitVector sampled_bloom_frame(std::size_t n, const BloomFrameConfig& cfg,
-                                    const Channel& channel,
-                                    util::Xoshiro256ss& rng,
-                                    std::uint64_t* tx_count = nullptr);
-
-/// Runs a slotted-ALOHA frame: each tag hashes to one of `f` slots
-/// (seeded by `seed`) and replies with persistence `p`. Returns per-slot
-/// states (idle / single / collision).
-std::vector<SlotState> run_aloha_frame(const TagPopulation& tags,
-                                       std::uint32_t f, double p,
-                                       std::uint64_t seed,
-                                       const Channel& channel,
-                                       util::Xoshiro256ss& rng,
-                                       std::uint64_t* tx_count = nullptr);
-
-/// Aggregate-law ALOHA frame over `n` tags.
-std::vector<SlotState> sampled_aloha_frame(std::size_t n, std::uint32_t f,
-                                           double p, const Channel& channel,
-                                           util::Xoshiro256ss& rng,
-                                           std::uint64_t* tx_count = nullptr);
-
-/// ZOE's frame: a single slot in which each tag participates with
-/// probability `q` (decided by hashing its ID with `seed`).
-SlotState run_single_slot(const TagPopulation& tags, double q,
-                          std::uint64_t seed, const Channel& channel,
-                          util::Xoshiro256ss& rng,
-                          std::uint64_t* tx_count = nullptr);
-
-/// Aggregate-law single slot over `n` tags.
-SlotState sampled_single_slot(std::size_t n, double q, const Channel& channel,
-                              util::Xoshiro256ss& rng,
-                              std::uint64_t* tx_count = nullptr);
-
-/// Lottery frame: tag t replies in slot Geom(1/2)(t) of `f` slots (slot j
-/// with probability 2^-(j+1), overflow clamped to the last slot). Returns
-/// the busy bitmap.
-util::BitVector run_lottery_frame(const TagPopulation& tags, std::uint32_t f,
-                                  std::uint64_t seed, const Channel& channel,
-                                  util::Xoshiro256ss& rng,
-                                  std::uint64_t* tx_count = nullptr);
-
-/// Aggregate-law lottery frame over `n` tags (sequential multinomial).
-util::BitVector sampled_lottery_frame(std::size_t n, std::uint32_t f,
-                                      const Channel& channel,
-                                      util::Xoshiro256ss& rng,
-                                      std::uint64_t* tx_count = nullptr);
 
 }  // namespace bfce::rfid

@@ -7,7 +7,6 @@
 
 #include "hash/persistence.hpp"
 #include "hash/slot_hash.hpp"
-#include "rfid/exec_plan.hpp"
 #include "rfid/frame_engine_simd.hpp"
 #include "util/parallel.hpp"
 
@@ -25,18 +24,8 @@ double elapsed_us(Clock::time_point start) {
 // Binomial draws go through util::draw_binomial: lock-free, and
 // bit-identical to the historical in-line std::binomial_distribution.
 using util::draw_binomial;
-
-std::uint64_t sum_counts(const std::uint32_t* counts, std::size_t w) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < w; ++i) total += counts[i];
-  return total;
-}
-
-// Packed-persistence threshold and its off-grid sentinel now live in
-// rfid/exec_plan.hpp: the planner must mirror the packed-kernel
-// detection exactly, so there is one definition for both.
-using exec::kNoPack16;
-using exec::packed16_threshold;
+using detail::kNoPack16;
+using detail::packed16_threshold;
 
 /// The slot choices of one Bloom frame, premixed once per frame.
 struct HoistedBloomHashes {
@@ -67,7 +56,7 @@ struct HoistedBloomHashes {
   }
 };
 
-// ---- sharded plan/render/reduce pipeline (ExecutionPolicy::kSharded) --
+// ---- exact mode: the plan/render/reduce walk ---------------------------
 //
 // Every exact-mode frame shape is hoisted into one FramePlan: the slot
 // geometry plus a per-tag decision rule. The render stage walks the
@@ -85,7 +74,7 @@ std::size_t padded_words(std::uint32_t w) noexcept {
   return ((static_cast<std::size_t>(w) + 63) / 64 + 7) & ~std::size_t{7};
 }
 
-/// One frame hoisted for the sharded walk: geometry + decision rule.
+/// One frame hoisted for the walk: geometry + decision rule.
 /// Planes per shape — Bloom/lottery: one busy bitmap at word_offset;
 /// ALOHA: an occupancy pair (plane one = "≥ 1 responder", plane two =
 /// "≥ 2 responders") at word_offset/word_offset2, enough to reproduce
@@ -212,8 +201,8 @@ FramePlan hoist_plan(const FrameRequest& request, std::size_t word_offset,
 /// Merged shard bitmap → busy map through the channel. The merged
 /// bitmap IS the busy map under a perfect channel (it senses exactly
 /// what was transmitted and draws nothing). An imperfect channel is
-/// replayed slot-major on the caller's stream — the same draw order the
-/// sequential path uses; observe() branches only on busy-vs-idle
+/// replayed slot-major on the caller's stream — the draw order of an
+/// observation of per-slot counts; observe() branches only on busy-vs-idle
 /// (single and collision behave identically), so presenting the bitmap
 /// as 0/2 repliers is draw-for-draw equivalent to the counts.
 util::BitVector bitmap_to_busy(const Channel& channel,
@@ -243,29 +232,28 @@ util::BitVector bitmap_to_busy(const Channel& channel,
   return busy;
 }
 
-/// The sharded population walk — the render + reduce stages over
-/// hoisted FramePlans of any shape mix: shard s owns the contiguous tag
-/// range [s·chunk, (s+1)·chunk) and renders every frame's decisions for
-/// its tags into private word-packed planes; shards then merge with
+/// The population walk — the render + reduce stages over hoisted
+/// FramePlans of any shape mix: shard s owns the contiguous tag range
+/// [s·chunk, (s+1)·chunk) and renders every frame's decisions for its
+/// tags into private word-packed planes; shards then merge with
 /// word-wide ORs (plus the cross-shard ≥2 term for ALOHA and responder
 /// sums for single-slot). Every decision is a pure function of (frame
 /// base, global tag index), so the output is bit-identical for any
-/// shard count and any ISA. Returns the per-frame results in request
-/// order (channel observation consumes the caller's stream frame-major,
-/// exactly like the sequential paths).
-std::vector<FrameResult> run_sharded_frames(
-    const TagPopulation& tags, const Channel& channel,
-    const std::vector<const FrameRequest*>& reqs,
-    std::uint32_t shard_count, bool allow_simd, util::Xoshiro256ss& rng,
-    std::vector<std::uint64_t>& shard_bits,
-    std::vector<std::uint64_t>& shard_tx,
-    std::vector<std::uint16_t>& lane_scratch) {
-  const std::size_t m = reqs.size();
+/// shard count and any ISA. Writes the per-frame results to out[0..m)
+/// in request order (channel observation consumes the caller's stream
+/// frame-major).
+void run_exact_frames(const TagPopulation& tags, const Channel& channel,
+                      const FrameRequest* reqs, std::size_t m,
+                      FrameResult* out, std::uint32_t shard_count,
+                      bool allow_simd, util::Xoshiro256ss& rng,
+                      std::vector<std::uint64_t>& shard_bits,
+                      std::vector<std::uint64_t>& shard_tx,
+                      std::vector<std::uint16_t>& lane_scratch) {
   std::vector<FramePlan> frames;
   frames.reserve(m);
   std::size_t words_stride = 0;
-  for (const FrameRequest* req : reqs) {
-    frames.push_back(hoist_plan(*req, words_stride, rng));
+  for (std::size_t f = 0; f < m; ++f) {
+    frames.push_back(hoist_plan(reqs[f], words_stride, rng));
     words_stride += plan_words(frames.back());
   }
 
@@ -393,9 +381,8 @@ std::vector<FrameResult> run_sharded_frames(
                   }
                   break;
                 case hash::PersistenceMode::kRnBits:
-                  // Deterministic tag-side decisions: no RNG on any
-                  // walk, so this stays bit-identical to the
-                  // sequential executor as well.
+                  // Deterministic tag-side decisions: no RNG at all,
+                  // so these frames keep the pre-engine executor's bits.
                   for (std::size_t t = t0; t < t1; ++t) {
                     const Tag& tag = all_tags[t];
                     for (std::uint32_t j = 0; j < k; ++j) {
@@ -420,8 +407,6 @@ std::vector<FrameResult> run_sharded_frames(
 
   // Reduce: merge shard planes into shard 0's slice, then observe each
   // frame through the channel in request order.
-  std::vector<FrameResult> results;
-  results.reserve(m);
   for (std::size_t f = 0; f < m; ++f) {
     const FramePlan& fr = frames[f];
     const std::size_t words = (static_cast<std::size_t>(fr.w) + 63) / 64;
@@ -429,7 +414,7 @@ std::vector<FrameResult> run_sharded_frames(
     for (std::uint32_t s = 0; s < shard_count; ++s) {
       tx += shard_tx[s * m + f];
     }
-    FrameResult res;
+    FrameResult& res = out[f];
     res.shape = fr.shape;
     res.tx = tx;
     switch (fr.shape) {
@@ -482,9 +467,51 @@ std::vector<FrameResult> run_sharded_frames(
         break;
       }
     }
-    results.push_back(std::move(res));
   }
-  return results;
+}
+
+/// Slot counts → busy map through the channel, word at a time: 64 slot
+/// observations accumulate in a register, one store per word. The
+/// observation order (and with it the channel's RNG stream) is
+/// slot-major.
+util::BitVector counts_to_busy(const Channel& channel,
+                               const std::uint32_t* counts, std::size_t w,
+                               util::Xoshiro256ss& rng) {
+  util::BitVector busy(w);
+  const bool perfect = channel.model().perfect();
+  for (std::size_t wi = 0; wi < busy.word_count(); ++wi) {
+    const std::size_t begin = wi << 6;
+    const std::size_t end = std::min(w, begin + 64);
+    std::uint64_t packed = 0;
+    if (perfect) {
+      // Perfect channel: busy ⇔ any replier, no RNG — branchless.
+      for (std::size_t i = begin; i < end; ++i) {
+        packed |= static_cast<std::uint64_t>(counts[i] != 0) << (i - begin);
+      }
+    } else {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (is_busy(channel.observe(counts[i], rng))) {
+          packed |= 1ULL << (i - begin);
+        }
+      }
+    }
+    busy.set_word(wi, packed);
+  }
+  return busy;
+}
+
+std::uint64_t slots_of(const FrameRequest& request) noexcept {
+  switch (request.shape()) {
+    case FrameShape::kBloom:
+      return std::get<BloomFrameConfig>(request.config).w;
+    case FrameShape::kAloha:
+      return std::get<AlohaFrameConfig>(request.config).f;
+    case FrameShape::kSingleSlot:
+      return 1;
+    case FrameShape::kLottery:
+      return std::get<LotteryFrameConfig>(request.config).f;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -503,532 +530,40 @@ const char* to_cstring(FrameShape shape) noexcept {
   return "?";
 }
 
-util::BitVector FrameEngine::counts_to_busy(const std::uint32_t* counts,
-                                            std::size_t w,
-                                            util::Xoshiro256ss& rng) const {
-  // Word-at-a-time packing: 64 slot observations accumulate in a
-  // register, one store per word, instead of 64 read-modify-write
-  // BitVector::set calls. The slot-major observation order (and with it
-  // the channel's RNG stream) is unchanged.
-  util::BitVector busy(w);
-  const bool perfect = channel_.model().perfect();
-  for (std::size_t wi = 0; wi < busy.word_count(); ++wi) {
-    const std::size_t begin = wi << 6;
-    const std::size_t end = std::min(w, begin + 64);
-    std::uint64_t packed = 0;
-    if (perfect) {
-      // Perfect channel: busy ⇔ any replier, no RNG — branchless.
-      for (std::size_t i = begin; i < end; ++i) {
-        packed |= static_cast<std::uint64_t>(counts[i] != 0) << (i - begin);
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (is_busy(channel_.observe(counts[i], rng))) {
-          packed |= 1ULL << (i - begin);
-        }
-      }
-    }
-    busy.set_word(wi, packed);
-  }
-  return busy;
-}
-
 FrameResult FrameEngine::execute(const FrameRequest& request,
                                  util::Xoshiro256ss& rng) {
-  const FrameRequest* const req_ptr = &request;
-  const bool walk_sharded =
-      policy_.is_sharded() ||
-      (policy_.is_auto() && use_sharded_path(&req_ptr, 1));
-  if (mode_ == FrameMode::kSampled && walk_sharded) {
-    // Sharded sampled engines route every frame through the batched
-    // sampler (which does its own counter accounting). A one-frame
-    // batch draws the caller's stream exactly like the legacy executor
-    // for the non-scatter shapes (single-slot, lottery).
-    std::vector<FrameRequest> one{request};
-    std::vector<FrameResult> res = execute_sampled_batch(one, rng);
-    return std::move(res.front());
-  }
-  const auto start = Clock::now();
-  FrameResult out = run_frame(
-      request, mode_ == FrameMode::kExact && walk_sharded && tags_ != nullptr,
-      rng);
-  counters_.of(out.shape).wall_us += elapsed_us(start);
-  return out;
-}
-
-FrameResult FrameEngine::run_frame(const FrameRequest& request,
-                                   bool sharded_exact,
-                                   util::Xoshiro256ss& rng) {
   FrameResult out;
-  out.shape = request.shape();
-  std::uint64_t slots = 0;
-  switch (out.shape) {
-    case FrameShape::kBloom: {
-      const auto& cfg = std::get<BloomFrameConfig>(request.config);
-      slots = cfg.w;
-      if (mode_ == FrameMode::kExact) {
-        if (sharded_exact) {
-          exact_sharded(request, rng, out);
-        } else {
-          exact_bloom(cfg, rng, out);
-        }
-      } else {
-        sampled_bloom(cfg, rng, out);
-      }
-      break;
-    }
-    case FrameShape::kAloha: {
-      const auto& cfg = std::get<AlohaFrameConfig>(request.config);
-      slots = cfg.f;
-      if (mode_ == FrameMode::kExact) {
-        if (sharded_exact) {
-          exact_sharded(request, rng, out);
-        } else {
-          exact_aloha(cfg, rng, out);
-        }
-      } else {
-        sampled_aloha(cfg, rng, out);
-      }
-      break;
-    }
-    case FrameShape::kSingleSlot: {
-      const auto& cfg = std::get<SingleSlotConfig>(request.config);
-      slots = 1;
-      if (mode_ == FrameMode::kExact) {
-        if (sharded_exact) {
-          exact_sharded(request, rng, out);
-        } else {
-          exact_single(cfg, rng, out);
-        }
-      } else {
-        sampled_single(cfg, rng, out);
-      }
-      break;
-    }
-    case FrameShape::kLottery: {
-      const auto& cfg = std::get<LotteryFrameConfig>(request.config);
-      slots = cfg.f;
-      if (mode_ == FrameMode::kExact) {
-        if (sharded_exact) {
-          exact_sharded(request, rng, out);
-        } else {
-          exact_lottery(cfg, rng, out);
-        }
-      } else {
-        sampled_lottery(cfg, rng, out);
-      }
-      break;
-    }
-  }
-  ShapeCounters& c = counters_.of(out.shape);
-  c.frames += 1;
-  c.slots += slots;
-  c.tag_tx += out.tx;
+  run(&request, 1, &out, rng);
   return out;
 }
 
 std::vector<FrameResult> FrameEngine::execute_batch(
     const std::vector<FrameRequest>& requests, util::Xoshiro256ss& rng) {
   ++counters_.batches;
-  if ((policy_.is_sharded() || policy_.is_auto()) && !requests.empty()) {
-    bool walk_sharded = policy_.is_sharded();
-    if (!walk_sharded) {
-      std::vector<const FrameRequest*> reqs;
-      reqs.reserve(requests.size());
-      for (const FrameRequest& r : requests) reqs.push_back(&r);
-      walk_sharded = use_sharded_path(reqs.data(), reqs.size());
-    }
-    if (walk_sharded) {
-      // One unified pipeline per mode, any shape mix.
-      if (mode_ == FrameMode::kExact && tags_ != nullptr) {
-        return execute_batch_sharded(requests, rng);
-      }
-      if (mode_ == FrameMode::kSampled) {
-        return execute_sampled_batch(requests, rng);
-      }
-    }
+  std::vector<FrameResult> results(requests.size());
+  if (!requests.empty()) {
+    run(requests.data(), requests.size(), results.data(), rng);
   }
-  bool all_bloom = !requests.empty();
-  for (const FrameRequest& r : requests) {
-    if (r.shape() != FrameShape::kBloom) {
-      all_bloom = false;
-      break;
-    }
-  }
-  if (all_bloom && mode_ == FrameMode::kExact && tags_ != nullptr &&
-      requests.size() >= 2) {
-    return execute_bloom_batch_blocked(requests, rng);
-  }
-  // Sequential fall-through: untimed frames, one clock pair per batch,
-  // the wall time charged to the first request's shape (the rule of
-  // execute_batch_sharded; batches are of one shape in practice).
-  std::vector<FrameResult> results;
-  if (requests.empty()) return results;
-  results.reserve(requests.size());
-  const auto start = Clock::now();
-  for (const FrameRequest& r : requests) {
-    results.push_back(run_frame(r, /*sharded_exact=*/false, rng));
-  }
-  counters_.of(requests.front().shape()).wall_us += elapsed_us(start);
   return results;
 }
 
-// ---- scalar paths (bit-identical to the legacy free executors) --------
-//
-// These are the sequential-policy executors and the law reference the
-// equivalence suite tests the sharded pipeline against. Under a sharded
-// policy the exact_* bodies are bypassed by the plan/render/reduce walk
-// and the sampled_* bodies by the batched sampler; they remain the
-// binding definition of the caller-RNG stream contract.
-
-void FrameEngine::exact_bloom(const BloomFrameConfig& cfg,
-                              util::Xoshiro256ss& rng, FrameResult& out) {
-  assert(tags_ != nullptr);
-  assert(cfg.k >= 1 && cfg.k <= kMaxHashes);
-  assert(cfg.hash != HashScheme::kLightweight ||
-         (cfg.w & (cfg.w - 1)) == 0);  // lightweight bitget needs 2^b slots
-  counts_.assign(cfg.w, 0);
-  const HoistedBloomHashes hashes(cfg);
-
-  for (const Tag& tag : tags_->tags()) {
-    // A tag that uses one shared persistence draw decides once per frame.
-    bool shared_respond = true;
-    if (cfg.persistence == hash::PersistenceMode::kSharedDraw) {
-      shared_respond = rng.bernoulli(cfg.p);
-      if (!shared_respond) continue;
-    }
-    for (std::uint32_t j = 0; j < cfg.k; ++j) {
-      const std::uint32_t slot = hashes.slot(tag, j, cfg.w);
-      bool respond;
-      switch (cfg.persistence) {
-        case hash::PersistenceMode::kIdealBernoulli:
-          respond = rng.bernoulli(cfg.p);
-          break;
-        case hash::PersistenceMode::kSharedDraw:
-          respond = shared_respond;
-          break;
-        case hash::PersistenceMode::kRnBits:
-          respond = hash::rn_bits_respond(
-              tag.rn, slot, static_cast<std::uint32_t>(cfg.seeds[j]), cfg.p_n);
-          break;
-        default:
-          respond = false;
-      }
-      if (respond) ++counts_[slot];
-    }
-  }
-  out.tx = sum_counts(counts_.data(), cfg.w);
-  out.busy = counts_to_busy(counts_.data(), cfg.w, rng);
-}
-
-void FrameEngine::sampled_bloom(const BloomFrameConfig& cfg,
-                                util::Xoshiro256ss& rng, FrameResult& out) {
-  assert(cfg.k >= 1 && cfg.k <= kMaxHashes);
-  // Every (tag, hash) pair responds with probability p, independently
-  // under the marginal law; the total response count is Binomial(k·n, p)
-  // and each response lands in a uniform slot. (Within-tag slot
-  // distinctness is a O(k²/w) correction, negligible for k=3, w=8192;
-  // tests compare the two executors.)
-  const std::uint64_t responses =
-      draw_binomial(static_cast<std::uint64_t>(n_) * cfg.k, cfg.p, rng);
-  counts_.assign(cfg.w, 0);
-  for (std::uint64_t r = 0; r < responses; ++r) {
-    ++counts_[rng.below(cfg.w)];
-  }
-  out.tx = responses;
-  out.busy = counts_to_busy(counts_.data(), cfg.w, rng);
-}
-
-void FrameEngine::exact_aloha(const AlohaFrameConfig& cfg,
-                              util::Xoshiro256ss& rng, FrameResult& out) {
-  assert(tags_ != nullptr);
-  counts_.assign(cfg.f, 0);
-  const hash::IdealSlotHash slot_hash(cfg.seed);
-  for (const Tag& tag : tags_->tags()) {
-    if (cfg.p < 1.0 && !rng.bernoulli(cfg.p)) continue;
-    ++counts_[slot_hash.slot(tag.id, cfg.f)];
-  }
-  out.tx = sum_counts(counts_.data(), cfg.f);
-  out.states.resize(cfg.f);
-  for (std::uint32_t i = 0; i < cfg.f; ++i) {
-    out.states[i] = channel_.observe(counts_[i], rng);
-  }
-}
-
-void FrameEngine::sampled_aloha(const AlohaFrameConfig& cfg,
-                                util::Xoshiro256ss& rng, FrameResult& out) {
-  const std::uint64_t responders = draw_binomial(n_, cfg.p, rng);
-  out.tx = responders;
-  counts_.assign(cfg.f, 0);
-  for (std::uint64_t r = 0; r < responders; ++r) {
-    ++counts_[rng.below(cfg.f)];
-  }
-  out.states.resize(cfg.f);
-  for (std::uint32_t i = 0; i < cfg.f; ++i) {
-    out.states[i] = channel_.observe(counts_[i], rng);
-  }
-}
-
-void FrameEngine::exact_single(const SingleSlotConfig& cfg,
-                               util::Xoshiro256ss& rng, FrameResult& out) {
-  assert(tags_ != nullptr);
-  // ZOE's participation rule: hash the tagID with the per-frame seed and
-  // compare against q — no tag-side RNG required.
-  const std::uint64_t threshold =
-      cfg.q >= 1.0 ? ~0ULL
-                   : static_cast<std::uint64_t>(
-                         cfg.q * 18446744073709551616.0 /* 2^64 */);
-  const std::uint64_t premixed = hash::premix_seed(cfg.seed);
-  std::uint32_t responders = 0;
-  for (const Tag& tag : tags_->tags()) {
-    if (hash::fmix64(tag.id ^ premixed) < threshold) ++responders;
-  }
-  out.tx = responders;
-  out.single = channel_.observe(responders, rng);
-}
-
-void FrameEngine::sampled_single(const SingleSlotConfig& cfg,
-                                 util::Xoshiro256ss& rng, FrameResult& out) {
-  const std::uint64_t responders = draw_binomial(n_, cfg.q, rng);
-  out.tx = responders;
-  out.single = channel_.observe(
-      static_cast<std::uint32_t>(
-          responders > 0xFFFFFFFFULL ? 0xFFFFFFFFULL : responders),
-      rng);
-}
-
-void FrameEngine::exact_lottery(const LotteryFrameConfig& cfg,
-                                util::Xoshiro256ss& rng, FrameResult& out) {
-  assert(tags_ != nullptr);
-  counts_.assign(cfg.f, 0);
-  const hash::GeometricSlotHash geo(cfg.seed);
-  for (const Tag& tag : tags_->tags()) {
-    ++counts_[geo.slot(tag.id, cfg.f)];
-  }
-  out.tx = tags_->size();
-  out.busy = counts_to_busy(counts_.data(), cfg.f, rng);
-}
-
-void FrameEngine::sampled_lottery(const LotteryFrameConfig& cfg,
-                                  util::Xoshiro256ss& rng, FrameResult& out) {
-  // Sequential multinomial: slot j holds Binomial(n_remaining,
-  // p_j / p_remaining) tags, with p_j = 2^-(j+1) and the tail mass
-  // clamped into the last slot.
-  counts_.assign(cfg.f, 0);
-  std::uint64_t remaining = n_;
-  double mass_remaining = 1.0;
-  for (std::uint32_t j = 0; j + 1 < cfg.f && remaining > 0; ++j) {
-    const double pj = std::ldexp(1.0, -static_cast<int>(j) - 1);
-    const double cond = pj / mass_remaining;
-    const std::uint64_t c =
-        draw_binomial(remaining, cond > 1.0 ? 1.0 : cond, rng);
-    counts_[j] =
-        static_cast<std::uint32_t>(c > 0xFFFFFFFFULL ? 0xFFFFFFFFULL : c);
-    remaining -= c;
-    mass_remaining -= pj;
-    if (mass_remaining <= 0.0) break;
-  }
-  counts_[cfg.f - 1] += static_cast<std::uint32_t>(
-      remaining > 0xFFFFFFFFULL ? 0xFFFFFFFFULL : remaining);
-  out.tx = n_;
-  out.busy = counts_to_busy(counts_.data(), cfg.f, rng);
-}
-
-// ---- blocked batch path ----------------------------------------------
-
-std::vector<FrameResult> FrameEngine::execute_bloom_batch_blocked(
-    const std::vector<FrameRequest>& requests, util::Xoshiro256ss& rng) {
+void FrameEngine::run(const FrameRequest* requests, std::size_t m,
+                      FrameResult* out, util::Xoshiro256ss& rng) {
   const auto start = Clock::now();
-  ++counters_.blocked_batches;
-  const std::size_t m = requests.size();
-
-  // Hoist everything the walk reads out of the configs into one flat
-  // struct. The walk writes slot counts through a uint32_t*, so reads of
-  // uint32_t config fields through pointers would have to be reloaded
-  // after every increment (they may alias); the copies below are pulled
-  // into locals inside the loop, which cannot.
-  struct Hoisted {
-    HoistedBloomHashes hashes;
-    std::size_t offset;         // into batch_counts_
-    double p = 1.0;
-    std::uint32_t k = 0;
-    std::uint32_t w = 0;
-    std::uint32_t p_n = 0;
-    std::uint32_t threshold16 = 0;  // packed threshold or kNoPack16
-    std::array<std::uint32_t, kMaxHashes> seeds32{};
-    hash::PersistenceMode persistence = hash::PersistenceMode::kRnBits;
-  };
-  std::vector<Hoisted> hoisted;
-  hoisted.reserve(m);
-  std::size_t total_slots = 0;
-  for (const FrameRequest& r : requests) {
-    const auto& cfg = std::get<BloomFrameConfig>(r.config);
-    assert(cfg.k >= 1 && cfg.k <= kMaxHashes);
-    assert(cfg.hash != HashScheme::kLightweight ||
-           (cfg.w & (cfg.w - 1)) == 0);
-    Hoisted h{HoistedBloomHashes(cfg), total_slots, cfg.p,     cfg.k,
-              cfg.w,                   cfg.p_n,     {},        {},
-              cfg.persistence};
-    h.threshold16 = packed16_threshold(cfg.p);
-    for (std::uint32_t j = 0; j < cfg.k; ++j) {
-      h.seeds32[j] = static_cast<std::uint32_t>(cfg.seeds[j]);
-    }
-    hoisted.push_back(h);
-    total_slots += cfg.w;
-  }
-  batch_counts_.assign(total_slots, 0);
-  std::uint32_t* const counts = batch_counts_.data();
-
-  // Packed persistence decisions come from a SplitMix64 stream derived
-  // from ONE draw of the caller's generator: splitmix has no loop-carried
-  // work beyond a counter increment, so consecutive decisions pipeline
-  // where xoshiro's state chain would serialise them. 16-bit slices of
-  // its output compared against p·65536 realise Bernoulli(p) exactly.
-  // A batch whose frames are all kRnBits never touches it (and so stays
-  // bit-identical to sequential execution).
-  bool any_packed = false;
-  bool any_stochastic = false;
-  for (const Hoisted& h : hoisted) {
-    if (h.persistence == hash::PersistenceMode::kIdealBernoulli ||
-        h.persistence == hash::PersistenceMode::kSharedDraw) {
-      any_stochastic = true;
-      if (h.threshold16 != kNoPack16) any_packed = true;
-    }
-  }
-  util::SplitMix64 persist((any_stochastic && any_packed) ? rng() : 0);
-
-  // One streaming pass over the population for the whole batch, tiled so
-  // each frame's slot counts stay cache-resident while a tile is walked.
-  // Persistence is decided before hashing, so silent (tag, slot) pairs
-  // never pay for a slot computation — with the paper's p_s ≈ 1/16 that
-  // removes ~94% of the hash work the per-frame executors do.
-  const auto& all_tags = tags_->tags();
-  const std::size_t n_tags = all_tags.size();
-  constexpr std::size_t kTile = 2048;
-  for (std::size_t t0 = 0; t0 < n_tags; t0 += kTile) {
-    const std::size_t t1 = n_tags < t0 + kTile ? n_tags : t0 + kTile;
-    for (const Hoisted& h : hoisted) {
-      const std::uint32_t k = h.k;
-      const std::uint32_t w = h.w;
-      std::uint32_t* const frame_counts = counts + h.offset;
-      switch (h.persistence) {
-        case hash::PersistenceMode::kIdealBernoulli: {
-          const std::uint32_t thr = h.threshold16;
-          if (thr != kNoPack16 && k == 3) {
-            // The paper's k: fully unrolled, no mask loop.
-            for (std::size_t t = t0; t < t1; ++t) {
-              const std::uint64_t bits = persist();
-              const bool h0 = (bits & 0xFFFFU) < thr;
-              const bool h1 = ((bits >> 16) & 0xFFFFU) < thr;
-              const bool h2 = ((bits >> 32) & 0xFFFFU) < thr;
-              if (h0 | h1 | h2) {
-                const Tag& tag = all_tags[t];
-                if (h0) ++frame_counts[h.hashes.slot(tag, 0, w)];
-                if (h1) ++frame_counts[h.hashes.slot(tag, 1, w)];
-                if (h2) ++frame_counts[h.hashes.slot(tag, 2, w)];
-              }
-            }
-          } else if (thr != kNoPack16 && k <= 4) {
-            for (std::size_t t = t0; t < t1; ++t) {
-              // All k decisions from one draw, as a branchless hit mask;
-              // most tags decide all-silent and skip the hash loop.
-              std::uint64_t bits = persist();
-              std::uint32_t mask = 0;
-              for (std::uint32_t j = 0; j < k; ++j) {
-                mask |= static_cast<std::uint32_t>((bits & 0xFFFFU) < thr)
-                        << j;
-                bits >>= 16;
-              }
-              if (mask != 0) {
-                const Tag& tag = all_tags[t];
-                for (std::uint32_t j = 0; j < k; ++j) {
-                  if ((mask >> j) & 1U) {
-                    ++frame_counts[h.hashes.slot(tag, j, w)];
-                  }
-                }
-              }
-            }
-          } else {
-            for (std::size_t t = t0; t < t1; ++t) {
-              const Tag& tag = all_tags[t];
-              for (std::uint32_t j = 0; j < k; ++j) {
-                if (rng.bernoulli(h.p)) {
-                  ++frame_counts[h.hashes.slot(tag, j, w)];
-                }
-              }
-            }
-          }
-          break;
-        }
-        case hash::PersistenceMode::kSharedDraw: {
-          const std::uint32_t thr = h.threshold16;
-          for (std::size_t t = t0; t < t1; ++t) {
-            const bool respond = thr != kNoPack16
-                                     ? (persist() & 0xFFFFU) < thr
-                                     : rng.bernoulli(h.p);
-            if (respond) {
-              const Tag& tag = all_tags[t];
-              for (std::uint32_t j = 0; j < k; ++j) {
-                ++frame_counts[h.hashes.slot(tag, j, w)];
-              }
-            }
-          }
-          break;
-        }
-        case hash::PersistenceMode::kRnBits: {
-          const std::uint32_t p_n = h.p_n;
-          for (std::size_t t = t0; t < t1; ++t) {
-            const Tag& tag = all_tags[t];
-            for (std::uint32_t j = 0; j < k; ++j) {
-              const std::uint32_t slot = h.hashes.slot(tag, j, w);
-              if (hash::rn_bits_respond(tag.rn, slot, h.seeds32[j], p_n)) {
-                ++frame_counts[slot];
-              }
-            }
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  }
-
-  // Channel observation per frame, in request order — the same
-  // frame-major RNG order sequential execution uses.
-  std::vector<FrameResult> results;
-  results.reserve(m);
-  for (const Hoisted& h : hoisted) {
-    FrameResult res;
-    res.shape = FrameShape::kBloom;
-    res.tx = sum_counts(counts + h.offset, h.w);
-    res.busy = counts_to_busy(counts + h.offset, h.w, rng);
-    ShapeCounters& c = counters_.of(FrameShape::kBloom);
-    c.frames += 1;
-    c.slots += h.w;
-    c.tag_tx += res.tx;
-    results.push_back(std::move(res));
-  }
-  counters_.of(FrameShape::kBloom).wall_us += elapsed_us(start);
-  return results;
-}
-
-// ---- sharded exact path ----------------------------------------------
-
-bool FrameEngine::use_sharded_path(const FrameRequest* const* requests,
-                                   std::size_t count) {
-  std::uint32_t hint =
-      policy_.shards != 0 ? policy_.shards : util::default_thread_count();
-  if (hint < 1) hint = 1;
-  const bool simd = policy_.allow_simd && detail::simd_supported();
-  const bool sharded = exec::plan_prefers_sharded(
-      exec::CostModel::active(), requests, count, n_, mode_, hint, simd);
-  if (sharded) {
-    ++counters_.auto_sharded;
+  if (mode_ == FrameMode::kExact) {
+    execute_exact(requests, m, out, rng);
   } else {
-    ++counters_.auto_sequential;
+    execute_sampled(requests, m, out, rng);
   }
-  return sharded;
+  for (std::size_t f = 0; f < m; ++f) {
+    ShapeCounters& c = counters_.of(out[f].shape);
+    c.frames += 1;
+    c.slots += slots_of(requests[f]);
+    c.tag_tx += out[f].tx;
+  }
+  // One fused pass: there is no per-shape split to measure, so the wall
+  // time is charged to the first request's shape.
+  counters_.of(requests[0].shape()).wall_us += elapsed_us(start);
 }
 
 std::uint32_t FrameEngine::effective_shards(std::size_t work) const noexcept {
@@ -1044,77 +579,39 @@ std::uint32_t FrameEngine::effective_shards(std::size_t work) const noexcept {
   return count;
 }
 
-void FrameEngine::exact_sharded(const FrameRequest& request,
-                                util::Xoshiro256ss& rng, FrameResult& out) {
+void FrameEngine::execute_exact(const FrameRequest* requests, std::size_t m,
+                                FrameResult* out, util::Xoshiro256ss& rng) {
   assert(tags_ != nullptr);
-  ++counters_.sharded_walks;
-  std::vector<FrameResult> results = run_sharded_frames(
-      *tags_, channel_, {&request}, effective_shards(n_), policy_.allow_simd,
-      rng, shard_bits_, shard_tx_, lane_scratch_);
-  out = std::move(results.front());
+  const std::uint32_t shard_count = effective_shards(n_);
+  if (shard_count > 1) ++counters_.sharded_walks;
+  run_exact_frames(*tags_, channel_, requests, m, out, shard_count,
+                   policy_.allow_simd, rng, shard_bits_, shard_tx_,
+                   lane_scratch_);
 }
 
-std::vector<FrameResult> FrameEngine::execute_batch_sharded(
-    const std::vector<FrameRequest>& requests, util::Xoshiro256ss& rng) {
-  const auto start = Clock::now();
-  ++counters_.sharded_walks;
-  std::vector<const FrameRequest*> reqs;
-  reqs.reserve(requests.size());
-  for (const FrameRequest& r : requests) reqs.push_back(&r);
-  std::vector<FrameResult> results = run_sharded_frames(
-      *tags_, channel_, reqs, effective_shards(n_), policy_.allow_simd, rng,
-      shard_bits_, shard_tx_, lane_scratch_);
-  for (std::size_t f = 0; f < results.size(); ++f) {
-    ShapeCounters& c = counters_.of(results[f].shape);
-    c.frames += 1;
-    c.slots += results[f].shape == FrameShape::kSingleSlot
-                   ? 1
-                   : results[f].shape == FrameShape::kAloha
-                         ? static_cast<std::uint64_t>(results[f].states.size())
-                         : static_cast<std::uint64_t>(results[f].busy.size());
-    c.tag_tx += results[f].tx;
-  }
-  // Wall time is attributed to the first request's shape — the walk is
-  // one fused pass, there is no per-shape split to measure.
-  counters_.of(requests.front().shape()).wall_us += elapsed_us(start);
-  return results;
-}
+// ---- sampled mode: the batched sampler ---------------------------------
 
-// ---- batched sampler (sampled mode under a sharded policy) ------------
-
-std::vector<FrameResult> FrameEngine::execute_sampled_batch(
-    const std::vector<FrameRequest>& requests, util::Xoshiro256ss& rng) {
-  const auto start = Clock::now();
-  ++counters_.sharded_walks;
+// A sampled frame's plan: Bloom and ALOHA scatter `draws` uniform
+// responses into word-packed shard planes (a busy bitmap for Bloom —
+// the channel branches only on busy-vs-idle, so "≥ 1 response" is
+// draw-for-draw equivalent to the counts — and the ≥1/≥2 occupancy pair
+// for ALOHA, whose idle/single/collision categories the channel
+// observes exactly); single-slot needs only its responder count;
+// lottery's dependent multinomial is drawn straight into the merged
+// counts in phase 1 (its draws must stay on the caller's stream in
+// request order — they cannot be counter-addressed without changing the
+// law).
+void FrameEngine::execute_sampled(const FrameRequest* requests,
+                                  std::size_t m, FrameResult* out,
+                                  util::Xoshiro256ss& rng) {
   ++counters_.sampled_batches;
-  const std::size_t m = requests.size();
-
-  /// One sampled frame's plan. Bloom and ALOHA scatter `draws` uniform
-  /// responses into word-packed shard planes (a busy bitmap for Bloom —
-  /// the channel branches only on busy-vs-idle, so "≥ 1 response" is
-  /// draw-for-draw equivalent to the counts — and the ≥1/≥2 occupancy
-  /// pair for ALOHA, whose idle/single/collision categories the channel
-  /// observes exactly); single-slot needs only its responder count;
-  /// lottery's dependent multinomial is drawn straight into the merged
-  /// counts in phase 1 (its draws must stay on the caller's stream in
-  /// request order — they cannot be counter-addressed without changing
-  /// the law).
-  struct SampledPlan {
-    FrameShape shape = FrameShape::kBloom;
-    std::uint32_t w = 1;                ///< slot count (w / f / 1)
-    std::size_t offset = 0;             ///< lottery counts, into batch_counts_
-    std::size_t word_offset = 0;        ///< plane one, into a shard slice
-    std::size_t word_offset2 = 0;       ///< plane two (ALOHA only)
-    std::uint64_t draws = 0;            ///< uniform slot-scatter draws
-    std::uint64_t base = 0;             ///< counter base for the scatter
-    std::uint64_t responders = 0;       ///< single-slot responder count
-  };
 
   // Layout pass (no RNG): merged slot counts for the lottery frames,
   // cache-line-padded word-packed planes for the scatter shapes (same
   // padding rationale as padded_words — adjacent shard slices never
   // share a cache line).
-  std::vector<SampledPlan> plans(m);
+  std::vector<SampledPlan>& plans = sampled_plans_;
+  plans.assign(m, SampledPlan{});
   std::size_t total_slots = 0;
   std::size_t words_stride = 0;
   for (std::size_t f = 0; f < m; ++f) {
@@ -1171,8 +668,9 @@ std::vector<FrameResult> FrameEngine::execute_sampled_batch(
         break;
       }
       case FrameShape::kLottery: {
-        // Sequential multinomial, exactly the legacy sampled_lottery
-        // draws, written straight into the merged counts.
+        // Sequential multinomial: slot j holds Binomial(n_remaining,
+        // p_j / p_remaining) tags, with p_j = 2^-(j+1) and the tail mass
+        // clamped into the last slot.
         std::uint32_t* const counts = batch_counts_.data() + pl.offset;
         std::uint64_t remaining = n_;
         double mass_remaining = 1.0;
@@ -1212,6 +710,7 @@ std::vector<FrameResult> FrameEngine::execute_sampled_batch(
           ? effective_shards(static_cast<std::size_t>(std::min<std::uint64_t>(
                 total_draws, static_cast<std::uint64_t>(~std::size_t{0}))))
           : 1;
+  if (shard_count > 1) ++counters_.sharded_walks;
   if (words_stride > 0) {
     // Sized but not zeroed here: each shard zero-fills its own slice in
     // the parallel region, so cold pages first-touch on the worker that
@@ -1300,10 +799,9 @@ std::vector<FrameResult> FrameEngine::execute_sampled_batch(
   // Phase 3 — reduce: channel observation per frame, in request order,
   // on the caller's stream — the same frame-major order every other
   // path uses.
-  std::vector<FrameResult> results;
-  results.reserve(m);
-  for (const SampledPlan& pl : plans) {
-    FrameResult res;
+  for (std::size_t f = 0; f < m; ++f) {
+    const SampledPlan& pl = plans[f];
+    FrameResult& res = out[f];
     res.shape = pl.shape;
     switch (pl.shape) {
       case FrameShape::kBloom:
@@ -1339,19 +837,11 @@ std::vector<FrameResult> FrameEngine::execute_sampled_batch(
         break;
       case FrameShape::kLottery:
         res.tx = n_;
-        res.busy = counts_to_busy(batch_counts_.data() + pl.offset, pl.w, rng);
+        res.busy = counts_to_busy(channel_, batch_counts_.data() + pl.offset,
+                                  pl.w, rng);
         break;
     }
-    ShapeCounters& c = counters_.of(pl.shape);
-    c.frames += 1;
-    c.slots += pl.shape == FrameShape::kSingleSlot ? 1 : pl.w;
-    c.tag_tx += res.tx;
-    results.push_back(std::move(res));
   }
-  // Same attribution rule as the sharded exact batch: one fused pass,
-  // charged to the first request's shape.
-  counters_.of(plans.front().shape).wall_us += elapsed_us(start);
-  return results;
 }
 
 }  // namespace bfce::rfid

@@ -1,6 +1,6 @@
 #pragma once
-// Internal: the counter-addressed kernels of the sharded execution
-// pipeline (ExecutionPolicy in frame_engine.hpp).
+// Internal: the counter-addressed kernels of the frame pipelines
+// (FrameEngine in frame_engine.hpp).
 //
 // bloom_decide_tile answers, for every (tag t, hash j) pair of one
 // tile, "does the pair respond?" — where decision j of tag t is the
@@ -21,6 +21,7 @@
 // gives the slot-hash/bitmap stage one well-predicted loop (measured
 // ~3x on the drain alone).
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -30,7 +31,23 @@ struct Tag;
 
 namespace detail {
 
-/// Tile granularity of the sharded walk: small enough that one frame's
+/// Sentinel of packed16_threshold: p is off the 1/65536 grid, the
+/// packed persistence kernels do not apply.
+inline constexpr std::uint32_t kNoPack16 = 0xFFFFFFFFU;
+
+/// Exact 16-bit threshold for Bernoulli(p) decisions packed four to a
+/// 64-bit draw, or kNoPack16 when p is not on the 1/65536 grid (the
+/// 1/1024 persistence grid of §IV-E.3 always is). A uniform 16-bit
+/// slice compared against p·65536 realises Bernoulli(p) exactly.
+inline std::uint32_t packed16_threshold(double p) noexcept {
+  if (p <= 0.0) return 0;
+  if (p >= 1.0) return 65536;
+  const double scaled = p * 65536.0;
+  if (scaled != std::floor(scaled)) return kNoPack16;
+  return static_cast<std::uint32_t>(scaled);
+}
+
+/// Tile granularity of the exact walk: small enough that one frame's
 /// shard-local bitmap plus the lane buffer stay cache-resident while a
 /// tile is walked, large enough to amortise per-(tile, frame) setup.
 inline constexpr std::size_t kShardTile = 4096;
@@ -69,7 +86,7 @@ std::size_t bloom_decide_tile(std::uint64_t base, std::size_t t0,
 /// count. The slot of tag t is IdealSlotHash's multiply-shift: the high
 /// 64 bits of fmix64(id ^ premixed) · f. When `stochastic`, tag t
 /// participates iff the unit double built from splitmix_at(base, t)
-/// falls below p — the counter-addressed decision of the sharded walk,
+/// falls below p — the counter-addressed decision of the exact walk,
 /// so the output is a pure function of the plan for any shard count.
 ///
 /// The AVX-512 body hashes 8 tags per iteration; participation comes

@@ -21,7 +21,7 @@ namespace bfce::rfid {
 ///
 /// Frames are executed by the context's FrameEngine: protocols build a
 /// FrameRequest and submit it via run_frame / run_batch; the engine
-/// dispatches on (shape, mode), reuses its scratch buffers across the
+/// runs it through the mode's pipeline, reuses its scratch buffers across the
 /// run and keeps per-shape execution counters.
 ///
 /// Multiple physical readers synchronised by a back-end server behave as
@@ -55,8 +55,8 @@ class ReaderContext {
     return engine_.execute(request, rng_);
   }
 
-  /// Executes a batch of frames through the engine (blocked population
-  /// walk for all-Bloom exact batches).
+  /// Executes a batch of frames through the engine (one pipeline pass
+  /// for the whole batch).
   std::vector<FrameResult> run_batch(const std::vector<FrameRequest>& batch) {
     return engine_.execute_batch(batch, rng_);
   }

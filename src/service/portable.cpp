@@ -130,8 +130,8 @@ std::optional<MaterializedJob> materialize(const PortableJobSpec& spec) {
                                       .absorb(kMembershipRnLabel)
                                       .value();
     std::vector<rfid::Tag> tags;
-    tags.reserve(spec.population.membership.size() / 64 + 1);
     const util::BitVector& bits = spec.population.membership;
+    tags.reserve(bits.count_ones());
     for (std::size_t i = 0; i < bits.size(); ++i) {
       if (!bits.get(i)) continue;
       rfid::Tag tag;

@@ -8,7 +8,6 @@
 #include "core/bfce.hpp"
 #include "estimators/registry.hpp"
 #include "math/erf.hpp"
-#include "math/stats.hpp"
 #include "rfid/reader.hpp"
 #include "tracking/session.hpp"
 #include "util/parallel.hpp"
@@ -36,6 +35,19 @@ std::unique_ptr<estimators::CardinalityEstimator> make_job_estimator(
   return estimators::make_estimator(spec.estimator);
 }
 
+/// math::quantile_sorted's interpolated q-quantile of `samples`
+/// (non-empty), found by selection instead of a full sort; reorders
+/// `samples`.
+double select_quantile(std::vector<double>& samples, double q) {
+  const double pos = q * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto at = samples.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples.begin(), at, samples.end());
+  if (lo + 1 >= samples.size()) return *at;
+  const double next = *std::min_element(at + 1, samples.end());
+  return *at + (next - *at) * (pos - static_cast<double>(lo));
+}
+
 LatencyProfile profile_of(std::vector<double> samples) {
   LatencyProfile p;
   p.count = samples.size();
@@ -43,11 +55,10 @@ LatencyProfile profile_of(std::vector<double> samples) {
   double sum = 0.0;
   for (const double s : samples) sum += s;
   p.mean_s = sum / static_cast<double>(samples.size());
-  std::sort(samples.begin(), samples.end());
-  p.p50_s = math::quantile_sorted(samples, 0.50);
-  p.p95_s = math::quantile_sorted(samples, 0.95);
-  p.p99_s = math::quantile_sorted(samples, 0.99);
-  p.max_s = samples.back();
+  p.max_s = *std::max_element(samples.begin(), samples.end());
+  p.p50_s = select_quantile(samples, 0.50);
+  p.p95_s = select_quantile(samples, 0.95);
+  p.p99_s = select_quantile(samples, 0.99);
   return p;
 }
 
@@ -232,6 +243,9 @@ SnapshotError EstimationService::restore(const ServiceSnapshot& snap) {
     return SnapshotError::kBadState;
   }
 
+  jobs_.reserve(snap.completed.size() + snap.pending.size());
+  latency_s_.reserve(snap.completed.size());
+  queue_wait_s_.reserve(snap.completed.size());
   JobId max_id = 0;
   for (const auto& [id, result] : snap.completed) {
     JobState& state = jobs_[id];
@@ -242,7 +256,7 @@ SnapshotError EstimationService::restore(const ServiceSnapshot& snap) {
     // Re-accounting: every aggregate (outcome counts, latency vectors,
     // engine counters, tracker rows, federation sums) is rebuilt through
     // the one accounting path, so it cannot drift from the results.
-    account_terminal(state.result);
+    account_terminal(state);
     max_id = std::max(max_id, id);
   }
   std::size_t pending_idx = 0;
@@ -287,7 +301,7 @@ bool EstimationService::cancel(JobId id) {
   if (pos != queue_.end()) queue_.erase(pos);
   state.result.status = JobStatus::kCancelled;
   state.result.latency_s = seconds_between(state.submitted, Clock::now());
-  account_terminal(state.result);
+  account_terminal(state);
   queue_space_.notify_one();
   job_done_.notify_all();
   return true;
@@ -446,7 +460,7 @@ void EstimationService::worker_loop() {
       state.result.status = JobStatus::kExpired;
       state.result.queue_wait_s = waited;
       state.result.latency_s = waited;
-      account_terminal(state.result);
+      account_terminal(state);
       job_done_.notify_all();
       continue;
     }
@@ -474,7 +488,7 @@ void EstimationService::worker_loop() {
     state.result.latency_s = seconds_between(state.submitted, Clock::now());
     retries_ += retries;
     --running_;
-    account_terminal(state.result);
+    account_terminal(state);
     job_done_.notify_all();
   }
 }
@@ -647,8 +661,15 @@ JobResult EstimationService::execute_federation(const JobSpec& spec,
   return r;
 }
 
-void EstimationService::account_terminal(const JobResult& result) {
+void EstimationService::account_terminal(JobState& state) {
+  const JobResult& result = state.result;
   assert(is_terminal(result.status));
+  // A terminal job never runs again and snapshot() keeps only its
+  // result, so the population and the value spec it was admitted from
+  // go now: a long-running service holds results, not inputs.
+  state.owned_population.reset();
+  state.spec.population = nullptr;
+  state.portable.reset();
   ++completed_;
   switch (result.status) {
     case JobStatus::kDone: ++done_; break;

@@ -182,10 +182,11 @@ class EstimationService {
     JobResult result;
     Clock::time_point submitted;
     /// Population materialized from a portable spec; keeps spec.population
-    /// alive for the job's lifetime (null for pointer-spec jobs).
+    /// alive until the job is terminal (null for pointer-spec jobs).
     std::shared_ptr<const rfid::TagPopulation> owned_population;
     /// The value form this job was admitted from, kept so snapshot() can
-    /// re-emit it while the job is still queued or running.
+    /// re-emit it while the job is still queued or running (released
+    /// once terminal).
     std::optional<PortableJobSpec> portable;
   };
 
@@ -203,8 +204,10 @@ class EstimationService {
   /// per attempt through the FederatedBfceEstimator (no lock held).
   JobResult execute_federation(const JobSpec& spec,
                                std::uint64_t& retries) const;
-  /// Folds a terminal result into the aggregate counters (lock held).
-  void account_terminal(const JobResult& result);
+  /// Folds a terminal job's result into the aggregate counters and
+  /// releases its inputs — owned population, population pointer and
+  /// portable spec (lock held).
+  void account_terminal(JobState& state);
 
   ServiceConfig config_;
   unsigned workers_ = 0;

@@ -60,7 +60,6 @@ void encode_counters(util::ByteWriter& w, const rfid::EngineCounters& c) {
     w.f64(s.wall_us);
   }
   w.u64(c.batches);
-  w.u64(c.blocked_batches);
   w.u64(c.sharded_walks);
   w.u64(c.sampled_batches);
 }
@@ -81,7 +80,6 @@ void decode_counters(util::ByteReader& r, rfid::EngineCounters& c) {
     s.wall_us = r.f64();
   }
   c.batches = r.u64();
-  c.blocked_batches = r.u64();
   c.sharded_walks = r.u64();
   c.sampled_batches = r.u64();
 }

@@ -76,7 +76,7 @@ enum class SnapshotError : std::uint8_t {
 const char* to_cstring(SnapshotError error) noexcept;
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x53534642u;  // "BFSS"
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 /// Refuse to even read files larger than this (a snapshot is state, not
 /// bulk data; 1 GiB is far beyond any real service).
 inline constexpr std::uint64_t kMaxSnapshotBytes = std::uint64_t{1} << 30;

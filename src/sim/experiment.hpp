@@ -29,7 +29,7 @@ struct ExperimentConfig {
   rfid::TimingModel timing{};
   std::uint64_t seed = 20150701;  ///< master seed; trial t uses stream t
   unsigned threads = 0;           ///< 0 ⇒ util::default_thread_count()
-  /// Per-trial FrameEngine policy. The sharded pipeline — the exact
+  /// Per-trial FrameEngine shard count. The frame pipeline — the exact
   /// plan/render/reduce walk and the sampled batched sampler alike — is
   /// bit-identical for any shard count, so this composes with
   /// trial-level parallelism without weakening the determinism contract

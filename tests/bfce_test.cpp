@@ -141,14 +141,21 @@ TEST(Bfce, TinyPopulationDegradesGracefully) {
 }
 
 TEST(Bfce, ProbeWalksUpForSmallPopulations) {
-  // n = 2000 at p_s = 8/1024 gives an expected all-idle first window, so
-  // the probe must raise p before phase 1.
+  // n = 2000 at p_s = 8/1024 puts λ ≈ 0.0057 on each slot, so the first
+  // 32-slot window is all idle with probability e^{−32λ} ≈ 0.83 and the
+  // probe must then raise p before phase 1. Over 40 context seeds the
+  // walk-up count is Binomial(40, 0.83): below 24 with probability
+  // < 1e-4.
   const auto pop = pop_of(2000, 8);
-  rfid::ReaderContext ctx(pop, 12);
   BfceEstimator est;
-  BfceTrace trace;
-  est.estimate_traced(ctx, {0.05, 0.05}, trace);
-  EXPECT_GT(trace.p_s_numerator, 8u);
+  int walked_up = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    rfid::ReaderContext ctx(pop, 12 + seed);
+    BfceTrace trace;
+    est.estimate_traced(ctx, {0.05, 0.05}, trace);
+    if (trace.p_s_numerator > 8u) ++walked_up;
+  }
+  EXPECT_GE(walked_up, 24);
 }
 
 TEST(Bfce, ProbeWalksDownForHugePopulations) {

@@ -8,11 +8,25 @@
 #include "core/bfce.hpp"
 #include "estimators/registry.hpp"
 #include "estimators/zoe.hpp"
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 #include "rfid/reader.hpp"
 
 namespace bfce::rfid {
 namespace {
+
+/// Transmissions of one exact-mode frame over `pop`.
+std::uint64_t exact_tx(const TagPopulation& pop, const FrameRequest& request,
+                       util::Xoshiro256ss& rng) {
+  return FrameEngine(pop, Channel{}, FrameMode::kExact)
+      .execute(request, rng)
+      .tx;
+}
+
+/// Transmissions of one sampled-mode frame over `n` tags.
+std::uint64_t sampled_tx(std::size_t n, const FrameRequest& request,
+                         util::Xoshiro256ss& rng) {
+  return FrameEngine(n, Channel{}).execute(request, rng).tx;
+}
 
 TEST(EnergyModel, PricesTheLedgerComponents) {
   EnergyModel em;
@@ -29,24 +43,22 @@ TEST(EnergyModel, PricesTheLedgerComponents) {
 TEST(TxAccounting, BloomFrameCountsEveryResponse) {
   const auto pop = make_population(5000, TagIdDistribution::kT1Uniform, 1);
   util::Xoshiro256ss rng(2);
-  Channel ch;
   BloomFrameConfig cfg;
   cfg.set_p_numerator(1024);  // p = 1: every tag fires k times
   cfg.seeds = {1, 2, 3};
   std::uint64_t tx = 0;
-  run_bloom_frame(pop, cfg, ch, rng, &tx);
+  tx += exact_tx(pop, FrameRequest::bloom(cfg), rng);
   EXPECT_EQ(tx, 5000u * 3u);
 }
 
 TEST(TxAccounting, PersistenceScalesTransmissions) {
   const auto pop = make_population(20000, TagIdDistribution::kT1Uniform, 3);
   util::Xoshiro256ss rng(4);
-  Channel ch;
   BloomFrameConfig cfg;
   cfg.set_p_numerator(256);  // p = 0.25
   cfg.seeds = {1, 2, 3};
   std::uint64_t tx = 0;
-  run_bloom_frame(pop, cfg, ch, rng, &tx);
+  tx += exact_tx(pop, FrameRequest::bloom(cfg), rng);
   const double expected = 20000.0 * 3.0 * 0.25;
   EXPECT_NEAR(static_cast<double>(tx), expected, expected * 0.05);
 }
@@ -54,15 +66,14 @@ TEST(TxAccounting, PersistenceScalesTransmissions) {
 TEST(TxAccounting, SampledAndExactAgreeInExpectation) {
   const auto pop = make_population(10000, TagIdDistribution::kT1Uniform, 5);
   util::Xoshiro256ss rng(6);
-  Channel ch;
   BloomFrameConfig cfg;
   cfg.set_p_numerator(128);
   cfg.seeds = {7, 8, 9};
   std::uint64_t tx_exact = 0;
   std::uint64_t tx_sampled = 0;
   for (int i = 0; i < 20; ++i) {
-    run_bloom_frame(pop, cfg, ch, rng, &tx_exact);
-    sampled_bloom_frame(pop.size(), cfg, ch, rng, &tx_sampled);
+    tx_exact += exact_tx(pop, FrameRequest::bloom(cfg), rng);
+    tx_sampled += sampled_tx(pop.size(), FrameRequest::bloom(cfg), rng);
   }
   EXPECT_NEAR(static_cast<double>(tx_exact),
               static_cast<double>(tx_sampled),
@@ -72,11 +83,10 @@ TEST(TxAccounting, SampledAndExactAgreeInExpectation) {
 TEST(TxAccounting, LotteryFrameChargesEveryTag) {
   const auto pop = make_population(3000, TagIdDistribution::kT1Uniform, 7);
   util::Xoshiro256ss rng(8);
-  Channel ch;
   std::uint64_t tx = 0;
-  run_lottery_frame(pop, 32, 99, ch, rng, &tx);
+  tx += exact_tx(pop, FrameRequest::lottery(32, 99), rng);
   EXPECT_EQ(tx, 3000u);
-  sampled_lottery_frame(3000, 32, ch, rng, &tx);
+  tx += sampled_tx(3000, FrameRequest::lottery(32, 0), rng);
   EXPECT_EQ(tx, 6000u);
 }
 

@@ -1,17 +1,15 @@
-// FrameEngine equivalence tests.
-//
-// The refactor that moved the frame executors behind the engine promises:
-//   * execute() is bit-identical to the pre-refactor free executors for
-//     every (shape, mode) pair — including identical RNG consumption, so
-//     downstream draws stay aligned;
-//   * execute_batch() is bit-identical to sequential execution when the
-//     tag-side responses draw no RNG (PersistenceMode::kRnBits), and
-//     law-equivalent (two-sample KS) for the stochastic persistence modes;
+// FrameEngine contract tests (docs/SIMULATOR.md, "Determinism"):
+//   * frames whose tag-side decisions draw no RNG — kRnBits Bloom,
+//     p = 1 ALOHA, single-slot, lottery — are bit-identical to the
+//     pre-engine scalar executors in both modes, caller-RNG position
+//     included;
+//   * stochastic-persistence exact frames and the sampled Bloom/ALOHA
+//     scatter realise the reference law (two-sample KS), not its bits;
+//   * every result is invariant to shard count and ISA;
 //   * the per-shape counters add up.
 //
-// The pre-refactor executors are embedded verbatim below as `ref_*` so
-// the contract stays checkable even as frame.cpp itself becomes a thin
-// wrapper over the engine.
+// The pre-engine executors are embedded verbatim below as `ref_*`: they
+// are the reference the contract is stated against.
 
 #include "rfid/frame_engine.hpp"
 
@@ -34,7 +32,7 @@
 namespace bfce::rfid {
 namespace {
 
-// ---- verbatim pre-refactor executors (the reference behaviour) --------
+// ---- verbatim pre-engine executors (the reference behaviour) ----------
 
 util::BitVector ref_counts_to_busy(const std::vector<std::uint32_t>& counts,
                                    const Channel& channel,
@@ -60,7 +58,7 @@ std::uint64_t ref_total(const std::vector<std::uint32_t>& counts) {
   return total;
 }
 
-util::BitVector ref_run_bloom_frame(const TagPopulation& tags,
+util::BitVector ref_bloom_exact(const TagPopulation& tags,
                                     const BloomFrameConfig& cfg,
                                     const Channel& channel,
                                     util::Xoshiro256ss& rng,
@@ -104,7 +102,7 @@ util::BitVector ref_run_bloom_frame(const TagPopulation& tags,
   return ref_counts_to_busy(counts, channel, rng);
 }
 
-util::BitVector ref_sampled_bloom_frame(std::size_t n,
+util::BitVector ref_bloom_sampled(std::size_t n,
                                         const BloomFrameConfig& cfg,
                                         const Channel& channel,
                                         util::Xoshiro256ss& rng,
@@ -119,7 +117,7 @@ util::BitVector ref_sampled_bloom_frame(std::size_t n,
   return ref_counts_to_busy(counts, channel, rng);
 }
 
-std::vector<SlotState> ref_run_aloha_frame(const TagPopulation& tags,
+std::vector<SlotState> ref_aloha_exact(const TagPopulation& tags,
                                            std::uint32_t f, double p,
                                            std::uint64_t seed,
                                            const Channel& channel,
@@ -137,7 +135,7 @@ std::vector<SlotState> ref_run_aloha_frame(const TagPopulation& tags,
   return states;
 }
 
-std::vector<SlotState> ref_sampled_aloha_frame(std::size_t n, std::uint32_t f,
+std::vector<SlotState> ref_aloha_sampled(std::size_t n, std::uint32_t f,
                                                double p,
                                                const Channel& channel,
                                                util::Xoshiro256ss& rng) {
@@ -153,7 +151,7 @@ std::vector<SlotState> ref_sampled_aloha_frame(std::size_t n, std::uint32_t f,
   return states;
 }
 
-SlotState ref_run_single_slot(const TagPopulation& tags, double q,
+SlotState ref_single_exact(const TagPopulation& tags, double q,
                               std::uint64_t seed, const Channel& channel,
                               util::Xoshiro256ss& rng) {
   const std::uint64_t threshold =
@@ -167,7 +165,7 @@ SlotState ref_run_single_slot(const TagPopulation& tags, double q,
   return channel.observe(responders, rng);
 }
 
-SlotState ref_sampled_single_slot(std::size_t n, double q,
+SlotState ref_single_sampled(std::size_t n, double q,
                                   const Channel& channel,
                                   util::Xoshiro256ss& rng) {
   const std::uint64_t responders = ref_draw_binomial(n, q, rng);
@@ -177,7 +175,7 @@ SlotState ref_sampled_single_slot(std::size_t n, double q,
                          rng);
 }
 
-util::BitVector ref_run_lottery_frame(const TagPopulation& tags,
+util::BitVector ref_lottery_exact(const TagPopulation& tags,
                                       std::uint32_t f, std::uint64_t seed,
                                       const Channel& channel,
                                       util::Xoshiro256ss& rng) {
@@ -189,7 +187,7 @@ util::BitVector ref_run_lottery_frame(const TagPopulation& tags,
   return ref_counts_to_busy(counts, channel, rng);
 }
 
-util::BitVector ref_sampled_lottery_frame(std::size_t n, std::uint32_t f,
+util::BitVector ref_lottery_sampled(std::size_t n, std::uint32_t f,
                                           const Channel& channel,
                                           util::Xoshiro256ss& rng) {
   std::vector<std::uint32_t> counts(f, 0);
@@ -232,20 +230,60 @@ void expect_same_rng(util::Xoshiro256ss& a, util::Xoshiro256ss& b) {
   EXPECT_EQ(a(), b()) << "RNG streams diverged";
 }
 
-// ---- execute() vs the pre-refactor executors (bit-identical) ----------
+/// Sharded policy with the size floor disabled so small test populations
+/// actually split into the requested number of shards.
+ExecutionPolicy sharded_policy(std::uint32_t shards) {
+  ExecutionPolicy policy = ExecutionPolicy::sharded(shards);
+  policy.min_tags_per_shard = 1;
+  return policy;
+}
 
-TEST(FrameEngineExact, BloomBitIdenticalAllPersistenceModes) {
+std::size_t busy_states(const std::vector<SlotState>& states) {
+  std::size_t n = 0;
+  for (const SlotState s : states) {
+    if (is_busy(s)) ++n;
+  }
+  return n;
+}
+
+/// Two-sample KS p-value of a against b.
+double ks_p(const std::vector<double>& a, const std::vector<double>& b) {
+  return math::ks_pvalue(math::ks_statistic(a, b), a.size(), b.size());
+}
+
+std::vector<FrameRequest> bloom_batch(hash::PersistenceMode mode,
+                                      std::size_t frames,
+                                      std::uint64_t seed_base) {
+  std::vector<FrameRequest> batch;
+  for (std::size_t i = 0; i < frames; ++i) {
+    auto cfg = bloom_cfg(mode);
+    cfg.seeds = {seed_base + 3 * i, seed_base + 3 * i + 1,
+                 seed_base + 3 * i + 2};
+    batch.push_back(FrameRequest::bloom(cfg));
+  }
+  return batch;
+}
+
+TEST(Packed16Threshold, GridAndSentinel) {
+  EXPECT_EQ(detail::packed16_threshold(0.0), 0u);
+  EXPECT_EQ(detail::packed16_threshold(1.0), 65536u);
+  // The paper's 1/1024 persistence grid is always on the 1/65536 grid.
+  EXPECT_EQ(detail::packed16_threshold(64.0 / 1024.0), 4096u);
+  EXPECT_EQ(detail::packed16_threshold(1.0 / 65536.0), 1u);
+  EXPECT_EQ(detail::packed16_threshold(0.3), detail::kNoPack16);
+}
+
+// ---- no-draw shapes: bit-identical to the reference -------------------
+
+TEST(FrameEngineExact, RnBitsBloomBitIdenticalToReference) {
   const TagPopulation pop = test_pop(3000);
-  const Channel ch;
-  for (const auto mode :
-       {hash::PersistenceMode::kIdealBernoulli,
-        hash::PersistenceMode::kSharedDraw, hash::PersistenceMode::kRnBits}) {
-    const auto cfg = bloom_cfg(mode);
+  for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
+    const auto cfg = bloom_cfg(hash::PersistenceMode::kRnBits);
     util::Xoshiro256ss ref_rng(42);
     util::Xoshiro256ss eng_rng(42);
     std::uint64_t ref_tx = 0;
     const util::BitVector ref =
-        ref_run_bloom_frame(pop, cfg, ch, ref_rng, &ref_tx);
+        ref_bloom_exact(pop, cfg, ch, ref_rng, &ref_tx);
     FrameEngine engine(pop, ch, FrameMode::kExact);
     const FrameResult res =
         engine.execute(FrameRequest::bloom(cfg), eng_rng);
@@ -262,7 +300,7 @@ TEST(FrameEngineExact, BloomBitIdenticalLightweightHash) {
   cfg.hash = HashScheme::kLightweight;
   util::Xoshiro256ss ref_rng(7);
   util::Xoshiro256ss eng_rng(7);
-  const util::BitVector ref = ref_run_bloom_frame(pop, cfg, ch, ref_rng);
+  const util::BitVector ref = ref_bloom_exact(pop, cfg, ch, ref_rng);
   FrameEngine engine(pop, ch, FrameMode::kExact);
   const FrameResult res = engine.execute(FrameRequest::bloom(cfg), eng_rng);
   EXPECT_EQ(ref.words(), res.busy.words());
@@ -271,149 +309,119 @@ TEST(FrameEngineExact, BloomBitIdenticalLightweightHash) {
 
 TEST(FrameEngineExact, AlohaSingleLotteryBitIdentical) {
   const TagPopulation pop = test_pop(3000);
-  const Channel ch;
-  util::Xoshiro256ss ref_rng(9);
-  util::Xoshiro256ss eng_rng(9);
-  FrameEngine engine(pop, ch, FrameMode::kExact);
+  for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
+    util::Xoshiro256ss ref_rng(9);
+    util::Xoshiro256ss eng_rng(9);
+    FrameEngine engine(pop, ch, FrameMode::kExact);
 
-  const auto ref_states = ref_run_aloha_frame(pop, 128, 0.4, 77, ch, ref_rng);
-  const FrameResult aloha =
-      engine.execute(FrameRequest::aloha(128, 0.4, 77), eng_rng);
-  EXPECT_EQ(ref_states, aloha.states);
+    const auto ref_states =
+        ref_aloha_exact(pop, 128, 1.0, 77, ch, ref_rng);
+    const FrameResult aloha =
+        engine.execute(FrameRequest::aloha(128, 1.0, 77), eng_rng);
+    EXPECT_EQ(ref_states, aloha.states);
 
-  const SlotState ref_single =
-      ref_run_single_slot(pop, 0.001, 55, ch, ref_rng);
-  const FrameResult single =
-      engine.execute(FrameRequest::single_slot(0.001, 55), eng_rng);
-  EXPECT_EQ(ref_single, single.single);
+    const SlotState ref_single =
+        ref_single_exact(pop, 0.001, 55, ch, ref_rng);
+    const FrameResult single =
+        engine.execute(FrameRequest::single_slot(0.001, 55), eng_rng);
+    EXPECT_EQ(ref_single, single.single);
 
-  const util::BitVector ref_busy =
-      ref_run_lottery_frame(pop, 32, 66, ch, ref_rng);
-  const FrameResult lottery =
-      engine.execute(FrameRequest::lottery(32, 66), eng_rng);
-  EXPECT_EQ(ref_busy.words(), lottery.busy.words());
+    const util::BitVector ref_busy =
+        ref_lottery_exact(pop, 32, 66, ch, ref_rng);
+    const FrameResult lottery =
+        engine.execute(FrameRequest::lottery(32, 66), eng_rng);
+    EXPECT_EQ(ref_busy.words(), lottery.busy.words());
 
-  expect_same_rng(ref_rng, eng_rng);
-}
-
-TEST(FrameEngineSampled, AllShapesBitIdentical) {
-  const std::size_t n = 50000;
-  const Channel ch;
-  util::Xoshiro256ss ref_rng(13);
-  util::Xoshiro256ss eng_rng(13);
-  FrameEngine engine(n, ch);
-
-  const auto cfg = bloom_cfg(hash::PersistenceMode::kIdealBernoulli);
-  const util::BitVector ref_bloom =
-      ref_sampled_bloom_frame(n, cfg, ch, ref_rng);
-  EXPECT_EQ(ref_bloom.words(),
-            engine.execute(FrameRequest::bloom(cfg), eng_rng).busy.words());
-
-  const auto ref_states = ref_sampled_aloha_frame(n, 256, 0.01, ch, ref_rng);
-  EXPECT_EQ(ref_states,
-            engine.execute(FrameRequest::aloha(256, 0.01, 0), eng_rng).states);
-
-  const SlotState ref_single = ref_sampled_single_slot(n, 3e-5, ch, ref_rng);
-  EXPECT_EQ(ref_single,
-            engine.execute(FrameRequest::single_slot(3e-5, 0), eng_rng).single);
-
-  const util::BitVector ref_lottery =
-      ref_sampled_lottery_frame(n, 32, ch, ref_rng);
-  EXPECT_EQ(
-      ref_lottery.words(),
-      engine.execute(FrameRequest::lottery(32, 0), eng_rng).busy.words());
-
-  expect_same_rng(ref_rng, eng_rng);
-}
-
-// The free functions stayed behaviourally identical through their
-// demotion to engine wrappers.
-TEST(FrameEngineWrappers, FreeFunctionsBitIdenticalToReference) {
-  const TagPopulation pop = test_pop(2000);
-  const Channel ch;
-  const auto cfg = bloom_cfg(hash::PersistenceMode::kIdealBernoulli);
-
-  util::Xoshiro256ss ref_rng(21);
-  util::Xoshiro256ss wrap_rng(21);
-  std::uint64_t ref_tx = 0;
-  std::uint64_t wrap_tx = 0;
-  const util::BitVector ref =
-      ref_run_bloom_frame(pop, cfg, ch, ref_rng, &ref_tx);
-  const util::BitVector wrap =
-      run_bloom_frame(pop, cfg, ch, wrap_rng, &wrap_tx);
-  EXPECT_EQ(ref.words(), wrap.words());
-  EXPECT_EQ(ref_tx, wrap_tx);
-
-  EXPECT_EQ(ref_run_aloha_frame(pop, 64, 0.3, 5, ch, ref_rng),
-            run_aloha_frame(pop, 64, 0.3, 5, ch, wrap_rng));
-  EXPECT_EQ(ref_run_single_slot(pop, 0.01, 6, ch, ref_rng),
-            run_single_slot(pop, 0.01, 6, ch, wrap_rng));
-  EXPECT_EQ(ref_run_lottery_frame(pop, 32, 7, ch, ref_rng).words(),
-            run_lottery_frame(pop, 32, 7, ch, wrap_rng).words());
-  EXPECT_EQ(ref_sampled_bloom_frame(5000, cfg, ch, ref_rng).words(),
-            sampled_bloom_frame(5000, cfg, ch, wrap_rng).words());
-  EXPECT_EQ(ref_sampled_aloha_frame(5000, 64, 0.1, ch, ref_rng),
-            sampled_aloha_frame(5000, 64, 0.1, ch, wrap_rng));
-  EXPECT_EQ(ref_sampled_single_slot(5000, 3e-4, ch, ref_rng),
-            sampled_single_slot(5000, 3e-4, ch, wrap_rng));
-  EXPECT_EQ(ref_sampled_lottery_frame(5000, 32, ch, ref_rng).words(),
-            sampled_lottery_frame(5000, 32, ch, wrap_rng).words());
-  expect_same_rng(ref_rng, wrap_rng);
-}
-
-// ---- execute_batch ----------------------------------------------------
-
-std::vector<FrameRequest> bloom_batch(hash::PersistenceMode mode,
-                                      std::size_t frames,
-                                      std::uint64_t seed_base) {
-  std::vector<FrameRequest> batch;
-  for (std::size_t i = 0; i < frames; ++i) {
-    auto cfg = bloom_cfg(mode);
-    cfg.seeds = {seed_base + 3 * i, seed_base + 3 * i + 1,
-                 seed_base + 3 * i + 2};
-    batch.push_back(FrameRequest::bloom(cfg));
+    expect_same_rng(ref_rng, eng_rng);
   }
-  return batch;
 }
 
-// kRnBits tag responses draw no RNG, so the blocked population walk is
-// bit-identical to sequential execution — including with an imperfect
-// channel, whose draws stay frame-major on both paths.
-TEST(FrameEngineBatch, RnBitsBitIdenticalToSequential) {
+// Shapes whose tag-side decisions draw no RNG — p = 1 ALOHA, single-slot,
+// lottery — come out of a many-shard walk bit-identical to the
+// reference as well, RNG stream position included, under both channels.
+TEST(FrameEngineShardedShapes, NoDrawShapesMatchSequentialExactly) {
   const TagPopulation pop = test_pop(3000);
-  for (const Channel ch :
-       {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
-    const auto batch =
-        bloom_batch(hash::PersistenceMode::kRnBits, 8, 100);
-    FrameEngine batched(pop, ch, FrameMode::kExact);
-    FrameEngine sequential(pop, ch, FrameMode::kExact);
-    util::Xoshiro256ss batch_rng(3);
-    util::Xoshiro256ss seq_rng(3);
-    const auto batch_res = batched.execute_batch(batch, batch_rng);
-    std::vector<FrameResult> seq_res;
-    for (const FrameRequest& r : batch) {
-      seq_res.push_back(sequential.execute(r, seq_rng));
-    }
-    ASSERT_EQ(batch_res.size(), seq_res.size());
-    for (std::size_t i = 0; i < batch_res.size(); ++i) {
-      EXPECT_EQ(batch_res[i].busy.words(), seq_res[i].busy.words());
-      EXPECT_EQ(batch_res[i].tx, seq_res[i].tx);
-    }
-    expect_same_rng(batch_rng, seq_rng);
-    EXPECT_EQ(batched.counters().blocked_batches, 1u);
+  for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
+    FrameEngine shd(pop, ch, FrameMode::kExact, sharded_policy(4));
+    util::Xoshiro256ss ref_rng(19);
+    util::Xoshiro256ss shd_rng(19);
+
+    EXPECT_EQ(ref_aloha_exact(pop, 128, 1.0, 77, ch, ref_rng),
+              shd.execute(FrameRequest::aloha(128, 1.0, 77), shd_rng).states);
+    EXPECT_EQ(ref_single_exact(pop, 0.001, 55, ch, ref_rng),
+              shd.execute(FrameRequest::single_slot(0.001, 55), shd_rng)
+                  .single);
+    EXPECT_EQ(ref_lottery_exact(pop, 32, 66, ch, ref_rng).words(),
+              shd.execute(FrameRequest::lottery(32, 66), shd_rng)
+                  .busy.words());
+
+    expect_same_rng(ref_rng, shd_rng);
+    EXPECT_EQ(shd.counters().sharded_walks, 3u);
   }
 }
 
-// The stochastic persistence modes reorder (and pack) the tag-side
-// draws, so the blocked path promises the same law, not the same bits:
-// compare per-frame busy-count distributions with a two-sample KS test.
+// kRnBits tag decisions draw no RNG and the channel replay keeps the
+// slot-major draw order, so a many-shard walk is bit-identical to the
+// reference — RNG stream included.
+TEST(FrameEngineSharded, RnBitsMatchesSequentialEngineExactly) {
+  const TagPopulation pop = test_pop(3000);
+  for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
+    const auto cfg = bloom_cfg(hash::PersistenceMode::kRnBits);
+    FrameEngine shd(pop, ch, FrameMode::kExact, sharded_policy(4));
+    util::Xoshiro256ss ref_rng(5);
+    util::Xoshiro256ss shd_rng(5);
+    std::uint64_t ref_tx = 0;
+    const util::BitVector a = ref_bloom_exact(pop, cfg, ch, ref_rng,
+                                                  &ref_tx);
+    const FrameResult b = shd.execute(FrameRequest::bloom(cfg), shd_rng);
+    EXPECT_EQ(a.words(), b.busy.words());
+    EXPECT_EQ(ref_tx, b.tx);
+    expect_same_rng(ref_rng, shd_rng);
+    EXPECT_EQ(shd.counters().sharded_walks, 1u);
+  }
+}
+
+// Sampled single-slot and lottery frames draw no scatter stream — the
+// sampler makes the reference's caller-RNG draws in the same order, so
+// they are bit-identical, RNG included, on one shard and on many.
+TEST(FrameEngineSampledSharded, NonScatterShapesBitIdenticalToLegacy) {
+  const std::size_t n = 50000;
+  for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
+    for (const std::uint32_t shards : {1u, 4u}) {
+      util::Xoshiro256ss ref_rng(43);
+      util::Xoshiro256ss eng_rng(43);
+      FrameEngine engine(n, ch);
+      engine.set_policy(sharded_policy(shards));
+
+      const SlotState ref_single =
+          ref_single_sampled(n, 3e-5, ch, ref_rng);
+      EXPECT_EQ(ref_single,
+                engine.execute(FrameRequest::single_slot(3e-5, 0), eng_rng)
+                    .single);
+
+      const util::BitVector ref_lottery =
+          ref_lottery_sampled(n, 32, ch, ref_rng);
+      EXPECT_EQ(ref_lottery.words(),
+                engine.execute(FrameRequest::lottery(32, 0), eng_rng)
+                    .busy.words());
+
+      expect_same_rng(ref_rng, eng_rng);
+      EXPECT_EQ(engine.counters().sampled_batches, 2u);
+    }
+  }
+}
+
+// ---- stochastic frames: the reference law, not its bits ----------------
+
+// Per-frame busy counts of stochastic-persistence Bloom batches against
+// the reference executor: two-sample KS.
 TEST(FrameEngineBatch, StochasticModesMatchSequentialLaw) {
   const TagPopulation pop = test_pop(1500);
   const Channel ch;
   for (const auto mode : {hash::PersistenceMode::kIdealBernoulli,
                           hash::PersistenceMode::kSharedDraw}) {
     std::vector<double> batched_counts;
-    std::vector<double> sequential_counts;
+    std::vector<double> reference_counts;
     for (std::uint64_t trial = 0; trial < 120; ++trial) {
       const auto batch = bloom_batch(mode, 4, 1000 + 97 * trial);
       FrameEngine batched(pop, ch, FrameMode::kExact);
@@ -421,66 +429,182 @@ TEST(FrameEngineBatch, StochasticModesMatchSequentialLaw) {
       for (const FrameResult& r : batched.execute_batch(batch, batch_rng)) {
         batched_counts.push_back(static_cast<double>(r.busy.count_ones()));
       }
-      FrameEngine sequential(pop, ch, FrameMode::kExact);
-      util::Xoshiro256ss seq_rng(9000 + trial);
+      util::Xoshiro256ss ref_rng(9000 + trial);
       for (const FrameRequest& r : batch) {
-        sequential_counts.push_back(static_cast<double>(
-            sequential.execute(r, seq_rng).busy.count_ones()));
+        reference_counts.push_back(static_cast<double>(
+            ref_bloom_exact(pop, std::get<BloomFrameConfig>(r.config),
+                                ch, ref_rng)
+                .count_ones()));
       }
     }
-    const double d = math::ks_statistic(batched_counts, sequential_counts);
-    const double p =
-        math::ks_pvalue(d, batched_counts.size(), sequential_counts.size());
-    EXPECT_GT(p, 1e-3) << "mode " << static_cast<int>(mode)
-                       << ": KS D=" << d;
+    EXPECT_GT(ks_p(batched_counts, reference_counts), 1e-3)
+        << "mode " << static_cast<int>(mode);
   }
 }
 
-// A batch that mixes shapes cannot take the blocked path; it must be
-// bit-identical to sequential execution.
-TEST(FrameEngineBatch, MixedShapesFallBackToSequential) {
-  const TagPopulation pop = test_pop(2000);
+// The same law check for single frames on a many-shard walk.
+TEST(FrameEngineSharded, StochasticModesMatchSequentialLaw) {
+  const TagPopulation pop = test_pop(1500);
   const Channel ch;
-  std::vector<FrameRequest> batch;
-  batch.push_back(
-      FrameRequest::bloom(bloom_cfg(hash::PersistenceMode::kIdealBernoulli)));
-  batch.push_back(FrameRequest::aloha(64, 0.5, 3));
-  batch.push_back(FrameRequest::single_slot(0.01, 4));
-  batch.push_back(FrameRequest::lottery(32, 5));
-
-  FrameEngine batched(pop, ch, FrameMode::kExact);
-  FrameEngine sequential(pop, ch, FrameMode::kExact);
-  util::Xoshiro256ss batch_rng(17);
-  util::Xoshiro256ss seq_rng(17);
-  const auto batch_res = batched.execute_batch(batch, batch_rng);
-  std::vector<FrameResult> seq_res;
-  for (const FrameRequest& r : batch) {
-    seq_res.push_back(sequential.execute(r, seq_rng));
+  for (const auto mode : {hash::PersistenceMode::kIdealBernoulli,
+                          hash::PersistenceMode::kSharedDraw}) {
+    std::vector<double> sharded_counts;
+    std::vector<double> reference_counts;
+    for (std::uint64_t trial = 0; trial < 240; ++trial) {
+      auto cfg = bloom_cfg(mode);
+      cfg.seeds = {2000 + trial, 3000 + trial, 4000 + trial};
+      FrameEngine sharded(pop, ch, FrameMode::kExact, sharded_policy(4));
+      util::Xoshiro256ss shd_rng(700 + trial);
+      sharded_counts.push_back(static_cast<double>(
+          sharded.execute(FrameRequest::bloom(cfg), shd_rng)
+              .busy.count_ones()));
+      util::Xoshiro256ss ref_rng(9500 + trial);
+      reference_counts.push_back(static_cast<double>(
+          ref_bloom_exact(pop, cfg, ch, ref_rng).count_ones()));
+    }
+    EXPECT_GT(ks_p(sharded_counts, reference_counts), 1e-3)
+        << "mode " << static_cast<int>(mode);
   }
-  ASSERT_EQ(batch_res.size(), 4u);
-  EXPECT_EQ(batch_res[0].busy.words(), seq_res[0].busy.words());
-  EXPECT_EQ(batch_res[1].states, seq_res[1].states);
-  EXPECT_EQ(batch_res[2].single, seq_res[2].single);
-  EXPECT_EQ(batch_res[3].busy.words(), seq_res[3].busy.words());
-  expect_same_rng(batch_rng, seq_rng);
-  EXPECT_EQ(batched.counters().blocked_batches, 0u);
-  EXPECT_EQ(batched.counters().batches, 1u);
 }
 
-// ---- sharded execution (ExecutionPolicy) ------------------------------
-
-/// Sharded policy with the size floor disabled so small test populations
-/// actually split into the requested number of shards.
-ExecutionPolicy sharded_policy(std::uint32_t shards) {
-  ExecutionPolicy policy = ExecutionPolicy::sharded(shards);
-  policy.min_tags_per_shard = 1;
-  return policy;
+// Stochastic-persistence ALOHA (p < 1) decides participation on the
+// counter-addressed stream: the reference law, checked by KS on
+// per-frame busy-slot counts.
+TEST(FrameEngineShardedShapes, AlohaStochasticMatchesSequentialLaw) {
+  const TagPopulation pop = test_pop(1500);
+  const Channel ch;
+  std::vector<double> engine_counts;
+  std::vector<double> reference_counts;
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    FrameEngine engine(pop, ch, FrameMode::kExact,
+                       sharded_policy(trial % 2 == 0 ? 1 : 4));
+    util::Xoshiro256ss eng_rng(1200 + trial);
+    engine_counts.push_back(static_cast<double>(busy_states(
+        engine.execute(FrameRequest::aloha(128, 0.35, 10 + trial), eng_rng)
+            .states)));
+    util::Xoshiro256ss ref_rng(8200 + trial);
+    reference_counts.push_back(static_cast<double>(busy_states(
+        ref_aloha_exact(pop, 128, 0.35, 10 + trial, ch, ref_rng))));
+  }
+  EXPECT_GT(ks_p(engine_counts, reference_counts), 1e-3);
 }
 
-// The headline determinism promise: the sharded walk is a pure function
-// of the seed — bit-identical busy maps, transmission counts, and RNG
-// stream position for ANY shard count, across every persistence mode
-// and with an imperfect channel in the loop.
+// Sampled Bloom and ALOHA responses scatter through the
+// counter-addressed stream instead of rng.below(): the reference law,
+// checked by KS on per-frame busy counts.
+TEST(FrameEngineSampledSharded, ScatterShapesMatchLegacyLaw) {
+  const std::size_t n = 20000;
+  const Channel ch;
+  // p = 4/1024: ~234 responses over 512 slots — well short of
+  // saturation, so the busy counts actually vary trial to trial.
+  const auto cfg = bloom_cfg(hash::PersistenceMode::kIdealBernoulli, 4);
+  std::vector<double> sampler_bloom, legacy_bloom;
+  std::vector<double> sampler_aloha, legacy_aloha;
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    FrameEngine engine(n, ch);
+    engine.set_policy(sharded_policy(trial % 2 == 0 ? 1 : 4));
+    util::Xoshiro256ss eng_rng(2200 + trial);
+    sampler_bloom.push_back(static_cast<double>(
+        engine.execute(FrameRequest::bloom(cfg), eng_rng)
+            .busy.count_ones()));
+    sampler_aloha.push_back(static_cast<double>(busy_states(
+        engine.execute(FrameRequest::aloha(256, 0.01, 0), eng_rng)
+            .states)));
+    util::Xoshiro256ss ref_rng(7200 + trial);
+    legacy_bloom.push_back(static_cast<double>(
+        ref_bloom_sampled(n, cfg, ch, ref_rng).count_ones()));
+    legacy_aloha.push_back(static_cast<double>(
+        busy_states(ref_aloha_sampled(n, 256, 0.01, ch, ref_rng))));
+  }
+  EXPECT_GT(ks_p(sampler_bloom, legacy_bloom), 1e-3) << "bloom";
+  EXPECT_GT(ks_p(sampler_aloha, legacy_aloha), 1e-3) << "aloha";
+}
+
+// ---- batches -------------------------------------------------------------
+
+// A kRnBits batch draws no RNG before channel observation, so it is
+// bit-identical to executing its frames one at a time — including with
+// an imperfect channel, whose draws stay frame-major on both paths.
+TEST(FrameEngineBatch, RnBitsBitIdenticalToSequential) {
+  const TagPopulation pop = test_pop(3000);
+  for (const Channel ch :
+       {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
+    const auto batch =
+        bloom_batch(hash::PersistenceMode::kRnBits, 8, 100);
+    FrameEngine batched(pop, ch, FrameMode::kExact);
+    util::Xoshiro256ss batch_rng(3);
+    util::Xoshiro256ss ref_rng(3);
+    const auto batch_res = batched.execute_batch(batch, batch_rng);
+    ASSERT_EQ(batch_res.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      std::uint64_t ref_tx = 0;
+      const util::BitVector ref = ref_bloom_exact(
+          pop, std::get<BloomFrameConfig>(batch[i].config), ch, ref_rng,
+          &ref_tx);
+      EXPECT_EQ(batch_res[i].busy.words(), ref.words());
+      EXPECT_EQ(batch_res[i].tx, ref_tx);
+    }
+    expect_same_rng(batch_rng, ref_rng);
+    EXPECT_EQ(batched.counters().batches, 1u);
+  }
+}
+
+// One walk serves a batch of mixed no-draw shapes: bit-identical to the
+// reference executors run frame by frame.
+TEST(FrameEngineBatch, MixedShapesMatchReferenceFrameByFrame) {
+  const TagPopulation pop = test_pop(2000);
+  for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
+    const auto cfg = bloom_cfg(hash::PersistenceMode::kRnBits);
+    const std::vector<FrameRequest> batch = {
+        FrameRequest::bloom(cfg), FrameRequest::aloha(64, 1.0, 3),
+        FrameRequest::single_slot(0.01, 4), FrameRequest::lottery(32, 5)};
+
+    FrameEngine batched(pop, ch, FrameMode::kExact);
+    util::Xoshiro256ss batch_rng(17);
+    util::Xoshiro256ss ref_rng(17);
+    const auto res = batched.execute_batch(batch, batch_rng);
+    ASSERT_EQ(res.size(), 4u);
+    EXPECT_EQ(res[0].busy.words(),
+              ref_bloom_exact(pop, cfg, ch, ref_rng).words());
+    EXPECT_EQ(res[1].states, ref_aloha_exact(pop, 64, 1.0, 3, ch, ref_rng));
+    EXPECT_EQ(res[2].single, ref_single_exact(pop, 0.01, 4, ch, ref_rng));
+    EXPECT_EQ(res[3].busy.words(),
+              ref_lottery_exact(pop, 32, 5, ch, ref_rng).words());
+    expect_same_rng(batch_rng, ref_rng);
+    EXPECT_EQ(batched.counters().batches, 1u);
+  }
+}
+
+// Under a perfect channel a batch is bit-identical to issuing the same
+// frames one at a time: each stochastic frame consumes exactly one
+// draw, in request order, on both paths.
+TEST(FrameEngineSharded, BatchMatchesPerFrameShardedPerfectChannel) {
+  const TagPopulation pop = test_pop(2500);
+  const Channel ch;
+  const auto batch =
+      bloom_batch(hash::PersistenceMode::kIdealBernoulli, 4, 900);
+  FrameEngine batched(pop, ch, FrameMode::kExact, sharded_policy(4));
+  FrameEngine single(pop, ch, FrameMode::kExact, sharded_policy(4));
+  util::Xoshiro256ss batch_rng(41);
+  util::Xoshiro256ss single_rng(41);
+  const auto batch_res = batched.execute_batch(batch, batch_rng);
+  std::vector<FrameResult> single_res;
+  for (const FrameRequest& r : batch) {
+    single_res.push_back(single.execute(r, single_rng));
+  }
+  for (std::size_t i = 0; i < batch_res.size(); ++i) {
+    EXPECT_EQ(batch_res[i].busy.words(), single_res[i].busy.words());
+    EXPECT_EQ(batch_res[i].tx, single_res[i].tx);
+  }
+  expect_same_rng(batch_rng, single_rng);
+}
+
+// ---- shard count and ISA invariance -----------------------------------
+
+// The headline determinism promise: the walk is a pure function of the
+// seed — bit-identical busy maps, transmission counts, and RNG stream
+// position for 1, 4 and 8 shards, across every persistence mode and
+// with an imperfect channel in the loop.
 TEST(FrameEngineSharded, BitIdenticalForAnyShardCount) {
   const TagPopulation pop = test_pop(3000);
   for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
@@ -489,7 +613,7 @@ TEST(FrameEngineSharded, BitIdenticalForAnyShardCount) {
                             hash::PersistenceMode::kRnBits}) {
       const auto batch = bloom_batch(mode, 4, 300);
       for (const std::uint32_t shards : {4u, 8u}) {
-        FrameEngine one(pop, ch, FrameMode::kExact, sharded_policy(1));
+        FrameEngine one(pop, ch, FrameMode::kExact);
         FrameEngine many(pop, ch, FrameMode::kExact,
                          sharded_policy(shards));
         util::Xoshiro256ss one_rng(11);
@@ -509,48 +633,33 @@ TEST(FrameEngineSharded, BitIdenticalForAnyShardCount) {
   }
 }
 
-// kRnBits tag decisions draw no RNG on either walk and the channel
-// replay preserves the sequential draw order, so the sharded path is
-// bit-identical to the plain sequential engine — RNG stream included.
-TEST(FrameEngineSharded, RnBitsMatchesSequentialEngineExactly) {
-  const TagPopulation pop = test_pop(3000);
-  for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
-    const auto cfg = bloom_cfg(hash::PersistenceMode::kRnBits);
-    FrameEngine seq(pop, ch, FrameMode::kExact);
-    FrameEngine shd(pop, ch, FrameMode::kExact, sharded_policy(4));
-    util::Xoshiro256ss seq_rng(5);
-    util::Xoshiro256ss shd_rng(5);
-    const FrameResult a = seq.execute(FrameRequest::bloom(cfg), seq_rng);
-    const FrameResult b = shd.execute(FrameRequest::bloom(cfg), shd_rng);
-    EXPECT_EQ(a.busy.words(), b.busy.words());
-    EXPECT_EQ(a.tx, b.tx);
-    expect_same_rng(seq_rng, shd_rng);
-    EXPECT_EQ(shd.counters().sharded_walks, 1u);
-  }
-}
-
-// Flipping allow_simd must not change a single bit: the AVX-512 kernel
-// and the scalar kernel emit the same decisions in the same order.
+// Flipping allow_simd must not change a single bit: the AVX-512 kernels
+// and the scalar kernels emit the same decisions in the same order, on
+// one shard and on many.
 TEST(FrameEngineSharded, SimdAndScalarBitIdentical) {
   const TagPopulation pop = test_pop(5000);
   const Channel ch;
-  const auto batch =
+  std::vector<FrameRequest> batch =
       bloom_batch(hash::PersistenceMode::kIdealBernoulli, 4, 700);
-  ExecutionPolicy simd = sharded_policy(4);
-  ExecutionPolicy scalar = sharded_policy(4);
-  scalar.allow_simd = false;
-  FrameEngine a(pop, ch, FrameMode::kExact, simd);
-  FrameEngine b(pop, ch, FrameMode::kExact, scalar);
-  util::Xoshiro256ss a_rng(23);
-  util::Xoshiro256ss b_rng(23);
-  const auto ra = a.execute_batch(batch, a_rng);
-  const auto rb = b.execute_batch(batch, b_rng);
-  ASSERT_EQ(ra.size(), rb.size());
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i].busy.words(), rb[i].busy.words());
-    EXPECT_EQ(ra[i].tx, rb[i].tx);
+  batch.push_back(FrameRequest::aloha(128, 0.4, 701));
+  for (const std::uint32_t shards : {1u, 4u, 8u}) {
+    ExecutionPolicy simd = sharded_policy(shards);
+    ExecutionPolicy scalar = sharded_policy(shards);
+    scalar.allow_simd = false;
+    FrameEngine a(pop, ch, FrameMode::kExact, simd);
+    FrameEngine b(pop, ch, FrameMode::kExact, scalar);
+    util::Xoshiro256ss a_rng(23);
+    util::Xoshiro256ss b_rng(23);
+    const auto ra = a.execute_batch(batch, a_rng);
+    const auto rb = b.execute_batch(batch, b_rng);
+    ASSERT_EQ(ra.size(), rb.size());
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i].busy.words(), rb[i].busy.words()) << "shards " << shards;
+      EXPECT_EQ(ra[i].states, rb[i].states) << "shards " << shards;
+      EXPECT_EQ(ra[i].tx, rb[i].tx);
+    }
+    expect_same_rng(a_rng, b_rng);
   }
-  expect_same_rng(a_rng, b_rng);
 }
 
 // Direct kernel check: vector and scalar decision tiles agree on count
@@ -605,7 +714,7 @@ TEST(FrameEngineSharded, EdgeCaseFramesShardInvariant) {
   batch.push_back(FrameRequest::bloom(certain));
 
   for (const std::uint32_t shards : {4u, 8u}) {
-    FrameEngine one(pop, ch, FrameMode::kExact, sharded_policy(1));
+    FrameEngine one(pop, ch, FrameMode::kExact);
     FrameEngine many(pop, ch, FrameMode::kExact, sharded_policy(shards));
     util::Xoshiro256ss one_rng(31);
     util::Xoshiro256ss many_rng(31);
@@ -621,137 +730,10 @@ TEST(FrameEngineSharded, EdgeCaseFramesShardInvariant) {
   }
 }
 
-// A sharded batch under a perfect channel is bit-identical to issuing
-// the same frames one at a time on a sharded engine: each stochastic
-// frame consumes exactly one draw, in request order, on both paths.
-TEST(FrameEngineSharded, BatchMatchesPerFrameShardedPerfectChannel) {
-  const TagPopulation pop = test_pop(2500);
-  const Channel ch;
-  const auto batch =
-      bloom_batch(hash::PersistenceMode::kIdealBernoulli, 4, 900);
-  FrameEngine batched(pop, ch, FrameMode::kExact, sharded_policy(4));
-  FrameEngine single(pop, ch, FrameMode::kExact, sharded_policy(4));
-  util::Xoshiro256ss batch_rng(41);
-  util::Xoshiro256ss single_rng(41);
-  const auto batch_res = batched.execute_batch(batch, batch_rng);
-  std::vector<FrameResult> single_res;
-  for (const FrameRequest& r : batch) {
-    single_res.push_back(single.execute(r, single_rng));
-  }
-  for (std::size_t i = 0; i < batch_res.size(); ++i) {
-    EXPECT_EQ(batch_res[i].busy.words(), single_res[i].busy.words());
-    EXPECT_EQ(batch_res[i].tx, single_res[i].tx);
-  }
-  expect_same_rng(batch_rng, single_rng);
-}
-
-// The stochastic modes repack the tag-side draws into counter-addressed
-// streams, so sharded-vs-sequential promises the same law, not the same
-// bits: two-sample KS on per-frame busy counts.
-TEST(FrameEngineSharded, StochasticModesMatchSequentialLaw) {
-  const TagPopulation pop = test_pop(1500);
-  const Channel ch;
-  for (const auto mode : {hash::PersistenceMode::kIdealBernoulli,
-                          hash::PersistenceMode::kSharedDraw}) {
-    std::vector<double> sharded_counts;
-    std::vector<double> sequential_counts;
-    for (std::uint64_t trial = 0; trial < 120; ++trial) {
-      const auto batch = bloom_batch(mode, 4, 2000 + 97 * trial);
-      FrameEngine sharded(pop, ch, FrameMode::kExact, sharded_policy(4));
-      util::Xoshiro256ss shd_rng(700 + trial);
-      for (const FrameResult& r : sharded.execute_batch(batch, shd_rng)) {
-        sharded_counts.push_back(static_cast<double>(r.busy.count_ones()));
-      }
-      FrameEngine sequential(pop, ch, FrameMode::kExact);
-      util::Xoshiro256ss seq_rng(9500 + trial);
-      for (const FrameRequest& r : batch) {
-        sequential_counts.push_back(static_cast<double>(
-            sequential.execute(r, seq_rng).busy.count_ones()));
-      }
-    }
-    const double d = math::ks_statistic(sharded_counts, sequential_counts);
-    const double p =
-        math::ks_pvalue(d, sharded_counts.size(), sequential_counts.size());
-    EXPECT_GT(p, 1e-3) << "mode " << static_cast<int>(mode)
-                       << ": KS D=" << d;
-  }
-}
-
-TEST(FrameEngineSharded, CountsShardedWalks) {
-  const TagPopulation pop = test_pop(2000);
-  const Channel ch;
-  FrameEngine engine(pop, ch, FrameMode::kExact, sharded_policy(4));
-  util::Xoshiro256ss rng(1);
-  const auto cfg = bloom_cfg(hash::PersistenceMode::kRnBits);
-  engine.execute(FrameRequest::bloom(cfg), rng);
-  EXPECT_EQ(engine.counters().sharded_walks, 1u);
-  engine.execute_batch(bloom_batch(hash::PersistenceMode::kRnBits, 4, 50),
-                       rng);
-  EXPECT_EQ(engine.counters().sharded_walks, 2u);
-  EXPECT_EQ(engine.counters().batches, 1u);
-  EXPECT_EQ(engine.counters().blocked_batches, 0u);
-
-  engine.set_policy(ExecutionPolicy::sequential());
-  engine.execute(FrameRequest::bloom(cfg), rng);
-  EXPECT_EQ(engine.counters().sharded_walks, 2u);
-
-  EngineCounters sum;
-  sum += engine.counters();
-  sum += engine.counters();
-  EXPECT_EQ(sum.sharded_walks, 4u);
-}
-
-// ---- sharded execution: non-Bloom shapes ------------------------------
-
-std::size_t busy_states(const std::vector<SlotState>& states) {
-  std::size_t n = 0;
-  for (const SlotState s : states) {
-    if (is_busy(s)) ++n;
-  }
-  return n;
-}
-
-// Shapes whose tag-side decisions draw no RNG — p = 1 ALOHA, single-slot,
-// lottery — must come out of the sharded walk bit-identical to the plain
-// sequential engine, RNG stream position included, under both channels.
-TEST(FrameEngineShardedShapes, NoDrawShapesMatchSequentialExactly) {
-  const TagPopulation pop = test_pop(3000);
-  for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
-    FrameEngine seq(pop, ch, FrameMode::kExact);
-    FrameEngine shd(pop, ch, FrameMode::kExact, sharded_policy(4));
-    util::Xoshiro256ss seq_rng(19);
-    util::Xoshiro256ss shd_rng(19);
-
-    const FrameResult a1 =
-        seq.execute(FrameRequest::aloha(128, 1.0, 77), seq_rng);
-    const FrameResult a2 =
-        shd.execute(FrameRequest::aloha(128, 1.0, 77), shd_rng);
-    EXPECT_EQ(a1.states, a2.states);
-    EXPECT_EQ(a1.tx, a2.tx);
-
-    const FrameResult s1 =
-        seq.execute(FrameRequest::single_slot(0.001, 55), seq_rng);
-    const FrameResult s2 =
-        shd.execute(FrameRequest::single_slot(0.001, 55), shd_rng);
-    EXPECT_EQ(s1.single, s2.single);
-    EXPECT_EQ(s1.tx, s2.tx);
-
-    const FrameResult l1 =
-        seq.execute(FrameRequest::lottery(32, 66), seq_rng);
-    const FrameResult l2 =
-        shd.execute(FrameRequest::lottery(32, 66), shd_rng);
-    EXPECT_EQ(l1.busy.words(), l2.busy.words());
-    EXPECT_EQ(l1.tx, l2.tx);
-
-    expect_same_rng(seq_rng, shd_rng);
-    EXPECT_EQ(shd.counters().sharded_walks, 3u);
-  }
-}
-
 // Every non-Bloom shape — including stochastic-persistence ALOHA — is a
-// pure function of the seed under the sharded walk: bit-identical
-// results and caller-RNG stream position for 1, 4 and 8 shards, with
-// both a perfect and an imperfect channel in the loop.
+// pure function of the seed: bit-identical results and caller-RNG
+// stream position for 1, 4 and 8 shards, with both a perfect and an
+// imperfect channel in the loop.
 TEST(FrameEngineShardedShapes, ShardCountInvariance) {
   const TagPopulation pop = test_pop(3000);
   std::vector<FrameRequest> batch;
@@ -761,7 +743,7 @@ TEST(FrameEngineShardedShapes, ShardCountInvariance) {
   batch.push_back(FrameRequest::lottery(32, 84));
   for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
     for (const std::uint32_t shards : {4u, 8u}) {
-      FrameEngine one(pop, ch, FrameMode::kExact, sharded_policy(1));
+      FrameEngine one(pop, ch, FrameMode::kExact);
       FrameEngine many(pop, ch, FrameMode::kExact, sharded_policy(shards));
       util::Xoshiro256ss one_rng(29);
       util::Xoshiro256ss many_rng(29);
@@ -778,34 +760,6 @@ TEST(FrameEngineShardedShapes, ShardCountInvariance) {
     }
   }
 }
-
-// Stochastic-persistence ALOHA (p < 1) repacks its per-tag draws into the
-// counter-addressed stream, so sharded-vs-sequential promises the same
-// law: two-sample KS on per-frame busy-slot counts.
-TEST(FrameEngineShardedShapes, AlohaStochasticMatchesSequentialLaw) {
-  const TagPopulation pop = test_pop(1500);
-  const Channel ch;
-  std::vector<double> sharded_counts;
-  std::vector<double> sequential_counts;
-  for (std::uint64_t trial = 0; trial < 200; ++trial) {
-    FrameEngine sharded(pop, ch, FrameMode::kExact, sharded_policy(4));
-    util::Xoshiro256ss shd_rng(1200 + trial);
-    sharded_counts.push_back(static_cast<double>(busy_states(
-        sharded.execute(FrameRequest::aloha(128, 0.35, 10 + trial), shd_rng)
-            .states)));
-    FrameEngine sequential(pop, ch, FrameMode::kExact);
-    util::Xoshiro256ss seq_rng(8200 + trial);
-    sequential_counts.push_back(static_cast<double>(busy_states(
-        sequential.execute(FrameRequest::aloha(128, 0.35, 10 + trial), seq_rng)
-            .states)));
-  }
-  const double d = math::ks_statistic(sharded_counts, sequential_counts);
-  const double p =
-      math::ks_pvalue(d, sharded_counts.size(), sequential_counts.size());
-  EXPECT_GT(p, 1e-3) << "KS D=" << d;
-}
-
-// ---- the batched sampler (sampled mode, sharded policy) ---------------
 
 std::vector<FrameRequest> sampled_mix_batch(std::uint64_t seed_base) {
   std::vector<FrameRequest> batch;
@@ -826,10 +780,9 @@ TEST(FrameEngineSampledSharded, ShardCountAndSimdInvariance) {
   const auto batch = sampled_mix_batch(400);
   for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
     FrameEngine one(n, ch);
-    one.set_policy(sharded_policy(1));
     util::Xoshiro256ss one_rng(37);
     const auto ref = one.execute_batch(batch, one_rng);
-    for (const std::uint32_t shards : {4u, 8u}) {
+    for (const std::uint32_t shards : {1u, 4u, 8u}) {
       for (const bool simd : {true, false}) {
         FrameEngine many(n, ch);
         ExecutionPolicy policy = sharded_policy(shards);
@@ -853,68 +806,31 @@ TEST(FrameEngineSampledSharded, ShardCountAndSimdInvariance) {
   }
 }
 
-// Single-slot and lottery draw no scatter stream — the sampler makes the
-// exact same caller-RNG draws in the same order as the legacy sampled
-// executors, so a single-frame request is bit-identical, RNG included.
-TEST(FrameEngineSampledSharded, NonScatterShapesBitIdenticalToLegacy) {
-  const std::size_t n = 50000;
-  for (const Channel ch : {Channel{}, Channel{ChannelModel{0.05, 0.02}}}) {
-    util::Xoshiro256ss ref_rng(43);
-    util::Xoshiro256ss eng_rng(43);
-    FrameEngine engine(n, ch);
-    engine.set_policy(sharded_policy(4));
+// ---- counters ---------------------------------------------------------
 
-    const SlotState ref_single = ref_sampled_single_slot(n, 3e-5, ch, ref_rng);
-    EXPECT_EQ(ref_single,
-              engine.execute(FrameRequest::single_slot(3e-5, 0), eng_rng)
-                  .single);
-
-    const util::BitVector ref_lottery =
-        ref_sampled_lottery_frame(n, 32, ch, ref_rng);
-    EXPECT_EQ(ref_lottery.words(),
-              engine.execute(FrameRequest::lottery(32, 0), eng_rng)
-                  .busy.words());
-
-    expect_same_rng(ref_rng, eng_rng);
-    EXPECT_EQ(engine.counters().sampled_batches, 2u);
-  }
-}
-
-// Bloom and ALOHA responses scatter through the counter-addressed stream
-// instead of rng.below(), so the sampler promises the legacy law, not
-// the legacy bits: two-sample KS on per-frame busy counts.
-TEST(FrameEngineSampledSharded, ScatterShapesMatchLegacyLaw) {
-  const std::size_t n = 20000;
+TEST(FrameEngineSharded, CountsShardedWalks) {
+  const TagPopulation pop = test_pop(2000);
   const Channel ch;
-  // p = 4/1024: ~234 responses over 512 slots — well short of
-  // saturation, so the busy counts actually vary trial to trial.
-  const auto cfg = bloom_cfg(hash::PersistenceMode::kIdealBernoulli, 4);
-  std::vector<double> sampler_bloom, legacy_bloom;
-  std::vector<double> sampler_aloha, legacy_aloha;
-  for (std::uint64_t trial = 0; trial < 200; ++trial) {
-    FrameEngine engine(n, ch);
-    engine.set_policy(sharded_policy(4));
-    util::Xoshiro256ss eng_rng(2200 + trial);
-    sampler_bloom.push_back(static_cast<double>(
-        engine.execute(FrameRequest::bloom(cfg), eng_rng)
-            .busy.count_ones()));
-    sampler_aloha.push_back(static_cast<double>(busy_states(
-        engine.execute(FrameRequest::aloha(256, 0.01, 0), eng_rng)
-            .states)));
-    util::Xoshiro256ss ref_rng(7200 + trial);
-    legacy_bloom.push_back(static_cast<double>(
-        ref_sampled_bloom_frame(n, cfg, ch, ref_rng).count_ones()));
-    legacy_aloha.push_back(static_cast<double>(
-        busy_states(ref_sampled_aloha_frame(n, 256, 0.01, ch, ref_rng))));
-  }
-  const double db = math::ks_statistic(sampler_bloom, legacy_bloom);
-  EXPECT_GT(math::ks_pvalue(db, sampler_bloom.size(), legacy_bloom.size()),
-            1e-3)
-      << "bloom KS D=" << db;
-  const double da = math::ks_statistic(sampler_aloha, legacy_aloha);
-  EXPECT_GT(math::ks_pvalue(da, sampler_aloha.size(), legacy_aloha.size()),
-            1e-3)
-      << "aloha KS D=" << da;
+  FrameEngine engine(pop, ch, FrameMode::kExact, sharded_policy(4));
+  util::Xoshiro256ss rng(1);
+  const auto cfg = bloom_cfg(hash::PersistenceMode::kRnBits);
+  engine.execute(FrameRequest::bloom(cfg), rng);
+  EXPECT_EQ(engine.counters().sharded_walks, 1u);
+  engine.execute_batch(bloom_batch(hash::PersistenceMode::kRnBits, 4, 50),
+                       rng);
+  EXPECT_EQ(engine.counters().sharded_walks, 2u);
+  EXPECT_EQ(engine.counters().batches, 1u);
+
+  // One shard is not a split walk.
+  engine.set_policy(ExecutionPolicy::sequential());
+  engine.execute(FrameRequest::bloom(cfg), rng);
+  EXPECT_EQ(engine.counters().sharded_walks, 2u);
+  EXPECT_EQ(engine.counters().of(FrameShape::kBloom).frames, 6u);
+
+  EngineCounters sum;
+  sum += engine.counters();
+  sum += engine.counters();
+  EXPECT_EQ(sum.sharded_walks, 4u);
 }
 
 TEST(FrameEngineSampledSharded, CountsSampledBatches) {
@@ -925,17 +841,16 @@ TEST(FrameEngineSampledSharded, CountsSampledBatches) {
   EXPECT_EQ(engine.counters().sampled_batches, 1u);
   EXPECT_EQ(engine.counters().sharded_walks, 1u);
   EXPECT_EQ(engine.counters().batches, 1u);
+  // A single-slot frame has no scatter to split.
   engine.execute(FrameRequest::single_slot(0.001, 7), rng);
   EXPECT_EQ(engine.counters().sampled_batches, 2u);
-  EXPECT_EQ(engine.counters().sharded_walks, 2u);
+  EXPECT_EQ(engine.counters().sharded_walks, 1u);
 
   EngineCounters sum;
   sum += engine.counters();
   sum += engine.counters();
   EXPECT_EQ(sum.sampled_batches, 4u);
 }
-
-// ---- counters ---------------------------------------------------------
 
 TEST(FrameEngineCounters, CountFramesSlotsAndTransmissions) {
   const TagPopulation pop = test_pop(500);
@@ -973,9 +888,9 @@ TEST(FrameEngineCounters, CountFramesSlotsAndTransmissions) {
   EXPECT_EQ(engine.counters().total().frames, 0u);
 }
 
-// A sequential batch is timed once, not once per frame: its frames,
-// slots and transmissions are counted as per-frame execute() counts
-// them, and the batch's wall time lands on its first request's shape.
+// A batch is timed once, not once per frame: its frames, slots and
+// transmissions are counted as per-frame execute() counts them, and the
+// batch's wall time lands on its first request's shape.
 TEST(FrameEngineCounters, SequentialBatchCountsEveryFrameAndTimesOnce) {
   constexpr std::uint64_t kFrames = 1000;
   constexpr std::size_t kTags = 100000;
@@ -1000,7 +915,8 @@ TEST(FrameEngineCounters, SequentialBatchCountsEveryFrameAndTimesOnce) {
   EXPECT_EQ(engine.counters().batches, 1u);
   EXPECT_EQ(engine.counters().total().frames, kFrames);
 
-  // The batch is the per-frame dispatch: same results, same stream.
+  // Under a perfect channel the batch equals per-frame execution: same
+  // results, same stream.
   FrameEngine per_frame(kTags, Channel{});
   util::Xoshiro256ss per_frame_rng(5);
   for (std::uint64_t i = 0; i < kFrames; ++i) {
@@ -1015,124 +931,6 @@ TEST(FrameEngineCounters, SequentialBatchCountsEveryFrameAndTimesOnce) {
   const ShapeCounters after = engine.counters().of(FrameShape::kSingleSlot);
   EXPECT_EQ(after.frames, kFrames + 1);
   EXPECT_GT(after.wall_us, single.wall_us);
-}
-
-// ---- the adaptive policy (ExecutionPolicy::automatic) -----------------
-//
-// kAuto's contract: whatever the cost model decides, results are
-// bit-identical for any shard count (stream-preserving batches because
-// both walks agree bit-for-bit, law-divergent batches because the
-// decision is pinned to the committed floor and the sharded walk itself
-// is shard-count invariant). These tests drive the real engine through
-// kAuto at pool sizes 1/4/8 and against the sequential policy.
-
-TEST(FrameEngineAuto, ResultsInvariantAcrossShardHints) {
-  const TagPopulation pop = test_pop(3000);
-  const Channel ch;
-  const std::vector<FrameRequest> batch = {
-      FrameRequest::bloom(bloom_cfg(hash::PersistenceMode::kRnBits)),
-      FrameRequest::bloom(bloom_cfg(hash::PersistenceMode::kIdealBernoulli)),
-      FrameRequest::bloom(bloom_cfg(hash::PersistenceMode::kSharedDraw)),
-      FrameRequest::aloha(128, 1.0, 5),
-      FrameRequest::aloha(128, 0.25, 6),
-      FrameRequest::single_slot(0.01, 7),
-      FrameRequest::lottery(32, 8),
-  };
-  for (const FrameMode mode : {FrameMode::kExact, FrameMode::kSampled}) {
-    std::vector<std::vector<FrameResult>> runs;
-    std::vector<std::uint64_t> next_draw;
-    for (const std::uint32_t shards : {1u, 4u, 8u}) {
-      FrameEngine engine(pop, ch, mode, ExecutionPolicy::automatic(shards));
-      util::Xoshiro256ss rng(99);
-      runs.push_back(engine.execute_batch(batch, rng));
-      next_draw.push_back(rng());
-    }
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-      ASSERT_EQ(runs[0].size(), runs[i].size());
-      for (std::size_t f = 0; f < runs[0].size(); ++f) {
-        EXPECT_EQ(runs[0][f].busy.words(), runs[i][f].busy.words());
-        EXPECT_EQ(runs[0][f].states, runs[i][f].states);
-        EXPECT_EQ(runs[0][f].single, runs[i][f].single);
-        EXPECT_EQ(runs[0][f].tx, runs[i][f].tx);
-      }
-      // Caller-RNG stream position is part of the contract.
-      EXPECT_EQ(next_draw[0], next_draw[i]);
-    }
-  }
-}
-
-TEST(FrameEngineAuto, StreamPreservingFramesMatchSequentialExactly) {
-  // Per-frame execute() through kAuto, for every stream-preserving
-  // (shape, mode) pair: bit-identical to the sequential policy,
-  // including the RNG stream — regardless of which walk the model
-  // picked.
-  const TagPopulation pop = test_pop(2500);
-  const Channel ch;
-  const std::vector<FrameRequest> frames = {
-      FrameRequest::bloom(bloom_cfg(hash::PersistenceMode::kRnBits)),
-      FrameRequest::aloha(256, 1.0, 3),
-      FrameRequest::single_slot(0.5, 4),
-      FrameRequest::lottery(32, 5),
-  };
-  FrameEngine seq(pop, ch, FrameMode::kExact);
-  FrameEngine adaptive(pop, ch, FrameMode::kExact,
-                       ExecutionPolicy::automatic(4));
-  util::Xoshiro256ss seq_rng(21);
-  util::Xoshiro256ss auto_rng(21);
-  for (const FrameRequest& r : frames) {
-    const FrameResult a = seq.execute(r, seq_rng);
-    const FrameResult b = adaptive.execute(r, auto_rng);
-    EXPECT_EQ(a.busy.words(), b.busy.words());
-    EXPECT_EQ(a.states, b.states);
-    EXPECT_EQ(a.single, b.single);
-    EXPECT_EQ(a.tx, b.tx);
-    expect_same_rng(seq_rng, auto_rng);
-  }
-}
-
-TEST(FrameEngineAuto, LawDivergentFramesMatchSequentialLaw) {
-  // Stochastic persistence through kAuto realises the sequential law
-  // (the decision may route either walk; both are law-equivalent).
-  const TagPopulation pop = test_pop(1500);
-  const Channel ch;
-  const auto cfg = bloom_cfg(hash::PersistenceMode::kIdealBernoulli, 256);
-  std::vector<double> seq_occupancy, auto_occupancy;
-  for (std::uint64_t trial = 0; trial < 40; ++trial) {
-    util::Xoshiro256ss s_rng(1000 + trial);
-    util::Xoshiro256ss a_rng(1000 + trial);
-    FrameEngine seq(pop, ch, FrameMode::kExact);
-    FrameEngine adaptive(pop, ch, FrameMode::kExact,
-                         ExecutionPolicy::automatic(4));
-    seq_occupancy.push_back(static_cast<double>(
-        seq.execute(FrameRequest::bloom(cfg), s_rng).busy.count_ones()));
-    auto_occupancy.push_back(static_cast<double>(
-        adaptive.execute(FrameRequest::bloom(cfg), a_rng).busy.count_ones()));
-  }
-  const double d = math::ks_statistic(seq_occupancy, auto_occupancy);
-  if (d > 0.0) {  // d == 0 ⇔ kAuto routed sequential: samples identical
-    const double p =
-        math::ks_pvalue(d, seq_occupancy.size(), auto_occupancy.size());
-    EXPECT_GT(p, 1e-3) << "KS D=" << d;
-  }
-}
-
-TEST(FrameEngineAuto, CountsEveryDecision) {
-  const TagPopulation pop = test_pop(2000);
-  const Channel ch;
-  FrameEngine engine(pop, ch, FrameMode::kExact,
-                     ExecutionPolicy::automatic());
-  util::Xoshiro256ss rng(3);
-  engine.execute(FrameRequest::aloha(64, 1.0, 1), rng);
-  engine.execute(FrameRequest::lottery(32, 2), rng);
-  const std::vector<FrameRequest> batch(
-      4, FrameRequest::bloom(bloom_cfg(hash::PersistenceMode::kRnBits)));
-  engine.execute_batch(batch, rng);
-  const EngineCounters& c = engine.counters();
-  // Two per-frame decisions plus one batch-wide decision.
-  EXPECT_EQ(c.auto_sharded + c.auto_sequential, 3u);
-  // And the sequential/sharded bookkeeping stays consistent: every
-  // sharded decision produced a sharded walk.
-  EXPECT_EQ(c.sharded_walks, c.auto_sharded);
 }
 
 }  // namespace

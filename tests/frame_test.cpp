@@ -1,6 +1,6 @@
-// Tests for the frame executors: Theorem 1 marginals, exact/sampled
+// Tests for the frame shapes: Theorem 1 marginals, exact/sampled
 // equivalence, and the shapes used by the baseline protocols.
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,18 @@ BloomFrameConfig base_config(std::uint32_t p_n, util::Xoshiro256ss& rng) {
   return cfg;
 }
 
+/// One frame through a fresh exact-mode engine over `pop`.
+FrameResult exact(const TagPopulation& pop, const FrameRequest& request,
+                  const Channel& ch, util::Xoshiro256ss& rng) {
+  return FrameEngine(pop, ch, FrameMode::kExact).execute(request, rng);
+}
+
+/// One frame through a fresh sampled-mode engine over `n` tags.
+FrameResult sampled(std::size_t n, const FrameRequest& request,
+                    const Channel& ch, util::Xoshiro256ss& rng) {
+  return FrameEngine(n, ch).execute(request, rng);
+}
+
 double idle_ratio(const util::BitVector& busy) {
   return 1.0 - static_cast<double>(busy.count_ones()) /
                    static_cast<double>(busy.size());
@@ -35,7 +47,8 @@ TEST(BloomFrame, FullPersistenceEveryTagLandsSomewhere) {
   Channel ch;
   auto cfg = base_config(1024, rng);  // p = 1
   cfg.k = 1;
-  const util::BitVector busy = run_bloom_frame(pop, cfg, ch, rng);
+  const util::BitVector busy =
+      exact(pop, FrameRequest::bloom(cfg), ch, rng).busy;
   // With p=1 and k=1 each tag occupies exactly one slot; 100 tags in
   // 8192 slots leave at most 100 busy slots, and at least 94-ish
   // (birthday collisions) — assert loose bounds plus non-emptiness.
@@ -49,7 +62,8 @@ TEST(BloomFrame, ZeroPersistenceKeepsChannelSilent) {
   util::Xoshiro256ss rng(2);
   Channel ch;
   auto cfg = base_config(0, rng);  // p = 0
-  const util::BitVector busy = run_bloom_frame(pop, cfg, ch, rng);
+  const util::BitVector busy =
+      exact(pop, FrameRequest::bloom(cfg), ch, rng).busy;
   EXPECT_EQ(busy.count_ones(), 0u);
 }
 
@@ -74,7 +88,8 @@ TEST_P(Theorem1Test, IdleRatioMatchesExpLambda) {
     auto cfg = base_config(128, rng);  // p = 0.125
     cfg.hash = param.hash;
     cfg.persistence = param.persistence;
-    total_rho += idle_ratio(run_bloom_frame(pop, cfg, ch, rng));
+    total_rho +=
+        idle_ratio(exact(pop, FrameRequest::bloom(cfg), ch, rng).busy);
   }
   const double rho = total_rho / kFrames;
   const double lambda = 3.0 * 0.125 * 20000.0 / 8192.0;  // = 0.9155
@@ -114,9 +129,10 @@ TEST(BloomFrame, SampledMatchesExactDistribution) {
   constexpr int kFrames = 60;
   for (int f = 0; f < kFrames; ++f) {
     auto cfg = base_config(64, rng);
-    exact_rhos.push_back(idle_ratio(run_bloom_frame(pop, cfg, ch, rng)));
-    sampled_rhos.push_back(
-        idle_ratio(sampled_bloom_frame(pop.size(), cfg, ch, rng)));
+    exact_rhos.push_back(
+        idle_ratio(exact(pop, FrameRequest::bloom(cfg), ch, rng).busy));
+    sampled_rhos.push_back(idle_ratio(
+        sampled(pop.size(), FrameRequest::bloom(cfg), ch, rng).busy));
   }
   const double d = math::ks_statistic(exact_rhos, sampled_rhos);
   EXPECT_GT(math::ks_pvalue(d, kFrames, kFrames), 0.005);
@@ -126,7 +142,8 @@ TEST(AlohaFrame, SlotTypesAreConsistent) {
   const TagPopulation pop = small_pop(500, 7);
   util::Xoshiro256ss rng(8);
   Channel ch;
-  const auto states = run_aloha_frame(pop, 256, 1.0, 42, ch, rng);
+  const auto states =
+      exact(pop, FrameRequest::aloha(256, 1.0, 42), ch, rng).states;
   ASSERT_EQ(states.size(), 256u);
   std::size_t singles = 0;
   std::size_t collisions = 0;
@@ -151,7 +168,7 @@ TEST(AlohaFrame, EmptyRatioMatchesLaw) {
   constexpr std::uint32_t kF = 1024;
   for (int f = 0; f < kFrames; ++f) {
     const auto states =
-        run_aloha_frame(pop, kF, 0.5, rng(), ch, rng);
+        exact(pop, FrameRequest::aloha(kF, 0.5, rng()), ch, rng).states;
     std::size_t idle = 0;
     for (const SlotState s : states) {
       if (!is_busy(s)) ++idle;
@@ -170,8 +187,11 @@ TEST(AlohaFrame, SampledMatchesExactMoments) {
   std::vector<double> sampled_idle;
   constexpr int kFrames = 50;
   for (int f = 0; f < kFrames; ++f) {
-    const auto a = run_aloha_frame(pop, 512, 0.15, rng(), ch, rng);
-    const auto b = sampled_aloha_frame(pop.size(), 512, 0.15, ch, rng);
+    const auto a =
+        exact(pop, FrameRequest::aloha(512, 0.15, rng()), ch, rng).states;
+    const auto b =
+        sampled(pop.size(), FrameRequest::aloha(512, 0.15, 0), ch, rng)
+            .states;
     auto count_idle = [](const std::vector<SlotState>& ss) {
       double idle = 0;
       for (const SlotState s : ss) {
@@ -195,9 +215,14 @@ TEST(SingleSlot, BusyProbabilityMatchesLaw) {
   int busy_sampled = 0;
   constexpr int kFrames = 4000;
   for (int f = 0; f < kFrames; ++f) {
-    if (is_busy(run_single_slot(pop, q, rng(), ch, rng))) ++busy_exact;
-    if (is_busy(sampled_single_slot(pop.size(), q, ch, rng)))
+    if (is_busy(exact(pop, FrameRequest::single_slot(q, rng()), ch, rng)
+                    .single)) {
+      ++busy_exact;
+    }
+    if (is_busy(sampled(pop.size(), FrameRequest::single_slot(q, 0), ch, rng)
+                    .single)) {
       ++busy_sampled;
+    }
   }
   const double expected = 1.0 - std::exp(-1.594);
   EXPECT_NEAR(static_cast<double>(busy_exact) / kFrames, expected, 0.025);
@@ -208,10 +233,11 @@ TEST(SingleSlot, DegenerateProbabilities) {
   const TagPopulation pop = small_pop(100, 15);
   util::Xoshiro256ss rng(16);
   Channel ch;
-  EXPECT_FALSE(is_busy(run_single_slot(pop, 0.0, 1, ch, rng)));
-  EXPECT_TRUE(is_busy(run_single_slot(pop, 1.0, 1, ch, rng)));
-  EXPECT_FALSE(is_busy(sampled_single_slot(100, 0.0, ch, rng)));
-  EXPECT_TRUE(is_busy(sampled_single_slot(100, 1.0, ch, rng)));
+  const auto single = [](double q) { return FrameRequest::single_slot(q, 1); };
+  EXPECT_FALSE(is_busy(exact(pop, single(0.0), ch, rng).single));
+  EXPECT_TRUE(is_busy(exact(pop, single(1.0), ch, rng).single));
+  EXPECT_FALSE(is_busy(sampled(100, single(0.0), ch, rng).single));
+  EXPECT_TRUE(is_busy(sampled(100, single(1.0), ch, rng).single));
 }
 
 TEST(LotteryFrame, FirstZeroGrowsWithLogN) {
@@ -223,7 +249,8 @@ TEST(LotteryFrame, FirstZeroGrowsWithLogN) {
     constexpr int kRounds = 30;
     for (int r = 0; r < kRounds; ++r) {
       sum += static_cast<double>(
-          run_lottery_frame(pop, 32, rng(), ch, rng).first_zero());
+          exact(pop, FrameRequest::lottery(32, rng()), ch, rng)
+              .busy.first_zero());
     }
     return sum / kRounds;
   };
@@ -242,9 +269,11 @@ TEST(LotteryFrame, SampledMatchesExactDistribution) {
   constexpr int kRounds = 200;
   for (int r = 0; r < kRounds; ++r) {
     exact_fz.push_back(static_cast<double>(
-        run_lottery_frame(pop, 32, rng(), ch, rng).first_zero()));
+        exact(pop, FrameRequest::lottery(32, rng()), ch, rng)
+            .busy.first_zero()));
     sampled_fz.push_back(static_cast<double>(
-        sampled_lottery_frame(pop.size(), 32, ch, rng).first_zero()));
+        sampled(pop.size(), FrameRequest::lottery(32, 0), ch, rng)
+            .busy.first_zero()));
   }
   const double d = math::ks_statistic(exact_fz, sampled_fz);
   EXPECT_GT(math::ks_pvalue(d, kRounds, kRounds), 0.005);
@@ -255,7 +284,8 @@ TEST(Frames, ChannelErrorsPerturbObservations) {
   util::Xoshiro256ss rng(21);
   const Channel noisy(ChannelModel{0.2, 0.0});
   auto cfg = base_config(0, rng);  // nobody transmits...
-  const util::BitVector busy = run_bloom_frame(pop, cfg, noisy, rng);
+  const util::BitVector busy =
+      exact(pop, FrameRequest::bloom(cfg), noisy, rng).busy;
   // ...yet ~20% of slots read busy through the noisy channel.
   EXPECT_NEAR(static_cast<double>(busy.count_ones()) / 8192.0, 0.2, 0.02);
 }

@@ -36,7 +36,9 @@ TEST(PredictedRelativeSd, MatchesMonteCarloMeasurement) {
     rfid::BloomFrameConfig cfg;
     cfg.set_p_numerator(8);
     cfg.seeds = {rng(), rng(), rng()};
-    const auto busy = rfid::sampled_bloom_frame(pop.size(), cfg, ch, rng);
+    const auto busy = rfid::FrameEngine(pop.size(), ch)
+                          .execute(rfid::FrameRequest::bloom(cfg), rng)
+                          .busy;
     const double rho = 1.0 - static_cast<double>(busy.count_ones()) / 8192.0;
     estimates.add(estimate_from_rho(rho, 8192, 3, p));
   }

@@ -280,11 +280,12 @@ TEST(RaceStress, ShardedWalkUnderServiceWorkers) {
 
 // The batched sampler inside the service worker pool: sampled-mode ZOE
 // sweeps submit thousands of single-slot frames (plus LOF lottery
-// batches) per job, and a sharded policy routes every one through
-// execute_sampled_batch's parallel scatter stage. TSan checks the
-// sampler's shard count planes really are private while four workers'
-// shard teams interleave; the assertions check determinism end to end —
-// duplicate-seed jobs bit-identical, and the sampler actually engaged.
+// batches) per job through four workers' engines at once. Single-slot
+// and lottery frames have no scatter stage, so no pass splits across
+// shards here (the split sampled scatter runs under TSan in
+// EstimationService.TrackingJobsHonourShardedEnginePolicy); the
+// assertions check determinism end to end — duplicate-seed jobs
+// bit-identical, and the sampler actually engaged.
 TEST(RaceStress, SampledZoeSweepUnderShardedServiceWorkers) {
   ServiceConfig cfg;
   cfg.workers = 4;
@@ -320,7 +321,6 @@ TEST(RaceStress, SampledZoeSweepUnderShardedServiceWorkers) {
     }
   }
   EXPECT_GT(svc.metrics().engine.sampled_batches, 0u);
-  EXPECT_GT(svc.metrics().engine.sharded_walks, 0u);
 }
 
 // The persistent executor's reuse seams: two service generations run

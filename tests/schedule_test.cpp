@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "math/hypothesis.hpp"
-#include "rfid/frame.hpp"
+#include "rfid/frame_engine.hpp"
 #include "rfid/multireader.hpp"
 #include "util/rng.hpp"
 
@@ -124,7 +124,9 @@ TEST(KsNormality, BloomIdleRatioIsAsymptoticallyNormal) {
     rfid::BloomFrameConfig cfg;
     cfg.set_p_numerator(16);
     cfg.seeds = {rng(), rng(), rng()};
-    const auto busy = rfid::sampled_bloom_frame(100000, cfg, ch, rng);
+    const auto busy = rfid::FrameEngine(100000, ch)
+                          .execute(rfid::FrameRequest::bloom(cfg), rng)
+                          .busy;
     rhos.push_back(1.0 -
                    static_cast<double>(busy.count_ones()) / 8192.0);
   }

@@ -4,6 +4,7 @@
 #include "service/service.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "rfid/population.hpp"
+#include "service/portable.hpp"
 
 namespace bfce::service {
 namespace {
@@ -350,6 +352,66 @@ TEST(EstimationService, CancelWithdrawsQueuedButNotRunningJobs) {
   EXPECT_EQ(svc.wait(queued).status, JobStatus::kCancelled);
   EXPECT_EQ(svc.wait(running).status, JobStatus::kDone);
   EXPECT_EQ(svc.metrics().cancelled, 1u);
+}
+
+// A long-running service keeps results, not inputs: a portable job owns
+// the population it materialized, and the job releases it on turning
+// terminal — done, deadline-missed, expired or cancelled alike. Twenty
+// finished 10^5-tag jobs must leave the heap less than one population
+// above where it started. (mallinfo2 reads glibc's arenas; a sanitizer's
+// allocator bypasses them, and the check then reads no growth.)
+TEST(EstimationService, TerminalJobsReleaseTheirPopulations) {
+  constexpr std::uint64_t kTags = 100000;
+  const auto heap_bytes = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<double>(info.uordblks + info.hblkhd);
+  };
+  EstimationService svc({.workers = 1});
+  // Pin the worker so the queued jobs can be cancelled or expire.
+  auto gate = std::make_shared<Gate>();
+  JobSpec gated;
+  gated.population = &small_pop();
+  gated.factory = [gate] {
+    return std::make_unique<StubEstimator>(gate, true);
+  };
+  const JobId pinned = svc.submit(gated);
+  while (svc.queue_depth() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const double before = heap_bytes();
+  std::vector<std::pair<JobId, JobStatus>> expected;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    PortableJobSpec spec;
+    spec.req = {0.2, 0.2};
+    spec.seed = i;
+    spec.population.size = kTags;
+    spec.population.seed = i;
+    JobStatus status = JobStatus::kDone;
+    if (i % 4 == 1) {
+      spec.airtime_budget_s = 1e-9;
+      status = JobStatus::kDeadlineMissed;
+    } else if (i % 4 == 2) {
+      spec.deadline_s = 1e-9;
+      status = JobStatus::kExpired;
+    }
+    const JobId id = svc.submit_portable(spec);
+    ASSERT_NE(id, kInvalidJob);
+    if (i % 4 == 3) {
+      ASSERT_TRUE(svc.cancel(id));
+      status = JobStatus::kCancelled;
+    }
+    expected.emplace_back(id, status);
+  }
+  gate->release();
+  svc.drain();
+  EXPECT_EQ(svc.wait(pinned).status, JobStatus::kDone);
+  for (const auto& [id, status] : expected) {
+    EXPECT_EQ(svc.wait(id).status, status) << "job " << id;
+  }
+  const double grown = heap_bytes() - before;
+  EXPECT_LT(grown, static_cast<double>(kTags * sizeof(rfid::Tag)))
+      << "terminal jobs still hold " << grown << " heap bytes";
 }
 
 TEST(EstimationService, UnknownEstimatorFailsTheJob) {

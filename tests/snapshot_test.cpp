@@ -659,7 +659,7 @@ TEST(SnapshotFile, SaveLoadRoundTripAndAtomicReplace) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden fixture: the committed bytes pin format version 1.
+// Golden fixture: the committed bytes pin format version 2.
 
 TEST(SnapshotGolden, CommittedFixtureMatchesEncoder) {
   const std::string path = std::string(BFCE_TEST_DATA_DIR) +

@@ -84,6 +84,9 @@ class Call:
     tok: int  # index of the name token
     line: int
     args: list[tuple[int, int]] = field(default_factory=list)
+    # The callee is reached through what the receiver points to or
+    # holds (`p->f()`, `v[i].f()`), not through the receiver itself.
+    via_pointee: bool = False
 
 
 @dataclass
@@ -382,8 +385,9 @@ class _Parser:
             j = self.match.get(j, j) + 1  # attributes
         if j >= hi or toks[j].kind != ID:
             return i + 1
-        name = toks[j].text
-        j += 1
+        # `struct Outer::Inner {` defines Inner, nested in Outer.
+        spelled, j = read_qualified(toks, j)
+        *qual, name = spelled.split("::")
         # Skip 'final' and a base-clause up to '{' / ';' / '('.
         while j < hi and not (toks[j].kind == OP
                               and toks[j].text in {"{", ";", "("}):
@@ -395,7 +399,8 @@ class _Parser:
         if j >= hi or toks[j].text != "{":
             return self.skip_to_semi(i, hi)  # forward declaration / variable
         end = self.match.get(j, hi)
-        qname = "::".join(ns + ([outer.name] if outer else []) + [name])
+        qname = "::".join(ns + ([outer.name] if outer else []) + qual
+                          + [name])
         info = ClassInfo(name=name, qname=qname, rel=self.fm.rel)
         self.fm.classes[name] = info
         self.scan_scope(j + 1, end, ns, info)
@@ -732,10 +737,19 @@ def scan_statement_head(p: _Parser, fn: Function, i: int, hi: int,
     spelled, j = read_qualified(toks, i)
     name = spelled.split("::")[-1]
 
-    # Receiver chains: a.b.c( / a->b( — walk the member path.
+    # Receiver chains: a.b.c( / a->b( / a[i].b( — walk the member path.
     path = [spelled]
-    while j < hi and toks[j].kind == OP and toks[j].text in {".", "->"}:
+    via_pointee = False
+    while j < hi and toks[j].kind == OP:
+        subscripted = toks[j].text == "["
+        if subscripted:
+            j = p.match.get(j, j) + 1
+            if j >= hi or toks[j].kind != OP:
+                break
+        if toks[j].text not in {".", "->"}:
+            break
         if j + 1 < hi and toks[j + 1].kind == ID:
+            via_pointee = subscripted or toks[j].text == "->"
             nxt_spelled, j2 = read_qualified(toks, j + 1)
             path.append(nxt_spelled)
             j = j2
@@ -753,7 +767,8 @@ def scan_statement_head(p: _Parser, fn: Function, i: int, hi: int,
         recv = ".".join(path[:-1]) if len(path) > 1 else None
         call = Call(name=callee.split("::")[-1], qual=callee, recv=recv,
                     tok=i, line=toks[i].line,
-                    args=split_args(p, j + 1, close))
+                    args=split_args(p, j + 1, close),
+                    via_pointee=via_pointee and recv is not None)
         fn.calls.append(call)
         return j + 1  # continue scanning inside the arguments
 
@@ -1011,6 +1026,52 @@ class Repo:
         spelled = var.spelled_type or var.type_text
         _, _, args = spelled.partition("<")
         return any(w in THREAD_TYPES for w in type_words(args))
+
+
+# Standard wrappers whose `->`, `*` or `[i]` reach a value of one of
+# their template arguments: the index of that argument.
+_HELD_ARG = {
+    "unique_ptr": 0, "shared_ptr": 0, "weak_ptr": 0, "optional": 0,
+    "vector": 0, "deque": 0, "array": 0, "list": 0, "span": 0,
+    "map": 1, "unordered_map": 1, "multimap": 1,
+}
+
+
+def template_args(spelled: str) -> tuple[str, list[str]]:
+    """`std::vector<std::thread>` → ("std::vector", ["std::thread"]):
+    the outermost template name and its top-level arguments."""
+    head, lt, rest = spelled.partition("<")
+    if not lt:
+        return spelled.strip(), []
+    args, depth, cur = [], 0, ""
+    for ch in rest:
+        if ch == "<":
+            depth += 1
+        elif ch == ">":
+            if depth == 0:
+                break
+            depth -= 1
+        elif ch == "," and depth == 0:
+            args.append(cur.strip())
+            cur = ""
+            continue
+        cur += ch
+    args.append(cur.strip())
+    return head.strip(), args
+
+
+def access_type(var: Local, via_pointee: bool) -> str:
+    """The type a member access through `var` reaches. Through a
+    pointee (`p->f()`, `v[i].f()`) of a smart pointer, optional or
+    container, that is the held type — `std::unique_ptr<Scatter>`
+    reaches `Scatter`; otherwise the declared type."""
+    if via_pointee:
+        head, args = template_args(var.spelled_type or var.type_text)
+        words = type_words(head)
+        index = _HELD_ARG.get(words[-1]) if words else None
+        if index is not None and index < len(args):
+            return args[index]
+    return var.type_text
 
 
 def type_words(text: str) -> list[str]:

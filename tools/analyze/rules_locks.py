@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .findings import Finding
-from .model import DISPATCH_NAMES, Function, Guard, MUTEX_TYPES, Repo
+from .model import (DISPATCH_NAMES, Function, Guard, MUTEX_TYPES, Repo,
+                    access_type)
 
 # std methods that must never be treated as repo calls even on a name
 # collision (cv.wait vs. EstimationService::wait, etc.).
@@ -47,11 +48,13 @@ class Acq:
     fn: str
 
 
-def _recv_type(repo: Repo, fn: Function, recv: str | None) -> str:
-    if not recv:
+def _recv_type(repo: Repo, fn: Function, call) -> str:
+    if not call.recv:
         return ""
-    var = repo.lookup_var(fn, recv.split(".")[0])
-    return var.type_text if var is not None else ""
+    var = repo.lookup_var(fn, call.recv.split(".")[0])
+    if var is None:
+        return ""
+    return access_type(var, call.via_pointee and "." not in call.recv)
 
 
 def _mutex_key(repo: Repo, fm, fn: Function, g: Guard) -> str:
@@ -87,7 +90,7 @@ def _callee_functions(repo: Repo, fn: Function, call) -> list[Function]:
         return []
     owner = fn.cls
     if call.recv is not None:
-        rtype = _recv_type(repo, fn, call.recv)
+        rtype = _recv_type(repo, fn, call)
         base = rtype.split("::")[-1].split("<")[0].strip()
         if base in _CV_TYPES or base in MUTEX_TYPES:
             return []

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .cpptok import ID, NUM, OP
 from .findings import Finding
-from .model import Function, Repo, SYNC_TYPES, read_qualified
+from .model import Function, Repo, SYNC_TYPES, access_type, read_qualified
 
 # Calls that establish provenance by construction.
 SOURCING_CALLS = {
@@ -264,8 +264,10 @@ class _Tracer:
         return False
 
     def _var_type(self, fn: Function, name: str) -> str:
+        """The type `name.value()` reaches: through a smart pointer or
+        container, the held type."""
         var = self.repo.lookup_var(fn, name)
-        return var.type_text if var is not None else ""
+        return access_type(var, True) if var is not None else ""
 
     @staticmethod
     def _is_constant_expr(fm, lo: int, hi: int) -> bool:

@@ -35,13 +35,11 @@
 #      conformance_test.cpp. Also works against a tsan build dir:
 #      `ctest --test-dir build-tsan -L conformance`.
 #   5. Opt-in (--perf-smoke): reruns `micro_frame --baseline` in the
-#      release build and fails if any gated throughput column —
-#      engine/sampled/aloha sequential plus the three kAuto adaptive
-#      columns — regresses more than 30% at any n against the committed
-#      BENCH_frame.json. The raw sharded columns stay informational:
-#      their absolute numbers depend on core count and AVX-512
-#      availability, while the kAuto columns gate the planner's "never
-#      a pessimization" promise on every host. Then replays the committed BENCH_service.json
+#      release build and fails if any gated throughput column — the
+#      one-shard engine/sampled/aloha columns — regresses more than 30%
+#      at any n against the committed BENCH_frame.json. The sharded
+#      columns stay informational: their absolute numbers depend on
+#      core count. Then replays the committed BENCH_service.json
 #      workload through fleet_service and fails if throughput collapses
 #      below 0.5x of the committed baseline (or if the cached pass ever
 #      diverges from the uncached one).
@@ -138,11 +136,10 @@ if [ "${perf_smoke}" -eq 1 ]; then
   fi
   cmake --build --preset release -j "${jobs}" --target micro_frame
   (cd "build-release" && timeout 300 ./bench/micro_frame --baseline)
-  # Gate on the sequential columns: the exact-mode engine walk and the
-  # sampled-mode executors must each stay within 30% of the committed
-  # baseline at every n. (The sharded and legacy columns are
-  # informational — their ratios shift with core count and ISA, and
-  # legacy only regresses if the reference does.)
+  # Gate on the one-shard columns: the exact walk and the batched
+  # sampler must each stay within 30% of the committed baseline at
+  # every n. (The sharded columns are informational — their ratios
+  # shift with core count.)
   python3 - BENCH_frame.json build-release/BENCH_frame.json <<'EOF'
 import json, sys
 
@@ -151,18 +148,11 @@ with open(sys.argv[1]) as f:
 with open(sys.argv[2]) as f:
     fresh = {p["n"]: p for p in json.load(f)["points"]}
 
-# Sequential columns exist on every host; the *_auto columns gate the
-# adaptive planner's "never a pessimization" promise (kAuto must track
-# the faster walk, so a collapse there means the cost model routed a
-# batch onto a losing path). aloha_tags_per_s rides the ALOHA pair
-# stage the same way engine/sampled ride theirs.
+# One-shard columns: the same work on every host.
 GATED = (
     "engine_tags_per_s",
     "sampled_tags_per_s",
     "aloha_tags_per_s",
-    "bloom_auto_tags_per_s",
-    "sampled_auto_tags_per_s",
-    "aloha_auto_tags_per_s",
 )
 failed = False
 for n, base in sorted(committed.items()):
@@ -187,8 +177,8 @@ if failed:
     print("FAIL: a gated throughput column regressed more than 30% "
           "against the committed BENCH_frame.json")
     sys.exit(1)
-print("perf smoke: sequential, aloha and kAuto throughput within 30% "
-      "of baseline")
+print("perf smoke: one-shard engine, sampled and aloha throughput "
+      "within 30% of baseline")
 EOF
   echo "==== perf smoke: service throughput ========================"
   if [ ! -f BENCH_service.json ]; then
